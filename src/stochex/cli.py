@@ -26,7 +26,7 @@ from .contlab import (
     verify_mlr_example,
 )
 from .dist import ExactJointDist, parse_rational
-from .errors import StochexError, UnknownId
+from .errors import InvalidSpec, StochexError, UnknownId
 from .gallery import gallery, list_ids
 
 EXIT_OK = 0
@@ -56,8 +56,12 @@ def _load_dist(source: str) -> ExactJointDist:
         if entry.kind != "discrete":
             raise UnknownId(f"gallery entry {entry.id!r} is not a discrete distribution")
         return entry.dist
-    with open(source) as fh:
-        return ExactJointDist.from_json(fh.read())
+    with open(source, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidSpec(f"{source} is not UTF-8 text: {exc}") from exc
+    return ExactJointDist.from_json(text)
 
 
 def _emit(obj) -> None:

@@ -20,6 +20,7 @@ from .errors import (
     EmptyIndexSet,
     IndexOutOfRange,
     InvalidRational,
+    InvalidSpec,
     ProbabilityNotOne,
 )
 
@@ -40,6 +41,10 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     return str(q)
+
+
+def _as_fraction(x: Fraction | int) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -136,11 +141,12 @@ class ExactJointDist:
                 raise DimensionMismatch(
                     f"atom {tuple(point)} has {len(point)} coordinates, expected {dim}"
                 )
-            pt = tuple(Fraction(c) for c in point)
-            p = Fraction(prob)
+            pt = tuple(map(_as_fraction, point))
+            p = _as_fraction(prob)
             if p < 0:
                 raise ValueError(f"negative probability {p} at {pt}")
-            merged[pt] = merged.get(pt, Fraction(0)) + p
+            old = merged.get(pt)
+            merged[pt] = p if old is None else old + p
         total = sum(merged.values(), Fraction(0))
         if total != 1:
             raise ProbabilityNotOne(1 - total)
@@ -218,16 +224,40 @@ class ExactJointDist:
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ExactJointDist":
-        dim = int(obj["dim"])
-        raw = [
-            (tuple(parse_rational(c) for c in atom["x"]), parse_rational(atom["p"]))
-            for atom in obj["atoms"]
-        ]
-        return cls.build(dim, raw)
+        """Inverse of `to_jsonable`; any malformed input raises a StochexError."""
+        if not (
+            isinstance(obj, dict)
+            and type(obj.get("dim")) is int
+            and isinstance(obj.get("atoms"), list)
+        ):
+            raise InvalidSpec('distribution needs an integer "dim" and a list "atoms"')
+        raw = []
+        for atom in obj["atoms"]:
+            if not (
+                isinstance(atom, dict)
+                and isinstance(atom.get("x"), list)
+                and all(isinstance(c, str) for c in atom["x"])
+                and isinstance(atom.get("p"), str)
+            ):
+                raise InvalidSpec(
+                    f'atom {atom!r} needs "x", a list of rational strings, '
+                    f'and "p", a rational string'
+                )
+            raw.append(
+                (tuple(parse_rational(c) for c in atom["x"]), parse_rational(atom["p"]))
+            )
+        try:
+            return cls.build(obj["dim"], raw)
+        except ValueError as exc:  # a negative probability
+            raise InvalidSpec(str(exc)) from exc
 
     @classmethod
     def from_json(cls, text: str) -> "ExactJointDist":
-        return cls.from_jsonable(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidSpec(f"distribution is not valid JSON: {exc}") from exc
+        return cls.from_jsonable(obj)
 
 
 @dataclass(frozen=True)
@@ -242,11 +272,12 @@ class UnivariateDist:
     ) -> "UnivariateDist":
         merged: dict[Fraction, Fraction] = {}
         for value, prob in raw_atoms:
-            v = Fraction(value)
-            p = Fraction(prob)
+            v = _as_fraction(value)
+            p = _as_fraction(prob)
             if p < 0:
                 raise ValueError(f"negative probability {p} at {v}")
-            merged[v] = merged.get(v, Fraction(0)) + p
+            old = merged.get(v)
+            merged[v] = p if old is None else old + p
         total = sum(merged.values(), Fraction(0))
         if total != 1:
             raise ProbabilityNotOne(1 - total)

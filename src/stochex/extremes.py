@@ -1,8 +1,14 @@
-"""Exact distributions of absolute prefix extremes and region probabilities."""
+"""Exact distributions of absolute prefix extremes and region probabilities.
+
+All prefix laws |max(X_1..X_l)| and |min(X_1..X_l)| come from one exact
+integer pass over the atoms (`_prefix_laws`); `Fraction`s are made only for
+the merged (value, mass) pairs of the results.
+"""
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,15 +39,48 @@ class RegionProbs:
         }
 
 
+def _prefix_laws(
+    d: ExactJointDist, upto: int
+) -> dict[str, list[UnivariateDist]]:
+    """Laws of |max(X_1..X_l)| and |min(X_1..X_l)| for l = 1..upto, keyed by
+    "max" and "min", from one pass over the atoms.
+
+    Coordinates are scaled to ints over their common denominator and masses
+    to ints over theirs, so the pass does integer comparisons and additions
+    only.  The masses of every law sum to 1 because those of `d` do.
+    """
+    points = [a.point[:upto] for a in d.atoms]
+    den = math.lcm(*{c.denominator for pt in points for c in pt})
+    pden = math.lcm(*{a.prob.denominator for a in d.atoms})
+    maxes: list[dict[int, int]] = [{} for _ in range(upto)]
+    mins: list[dict[int, int]] = [{} for _ in range(upto)]
+    for pt, a in zip(points, d.atoms):
+        w = a.prob.numerator * (pden // a.prob.denominator)
+        xs = [c.numerator * (den // c.denominator) for c in pt]
+        hi = lo = xs[0]
+        for x, mx, mn in zip(xs, maxes, mins):
+            if x > hi:
+                hi = x
+            elif x < lo:
+                lo = x
+            mx[abs(hi)] = mx.get(abs(hi), 0) + w
+            mn[abs(lo)] = mn.get(abs(lo), 0) + w
+
+    def law(masses: dict[int, int]) -> UnivariateDist:
+        return UnivariateDist(
+            tuple((Fraction(v, den), Fraction(w, pden)) for v, w in sorted(masses.items()))
+        )
+
+    return {"max": [law(m) for m in maxes], "min": [law(m) for m in mins]}
+
+
 def abs_extreme_dist(d: ExactJointDist, prefix_len: int, kind: str) -> UnivariateDist:
     """Exact distribution of |max(X_1..X_l)| or |min(X_1..X_l)|."""
     if not (1 <= prefix_len <= d.dim):
         raise PrefixOutOfRange(f"prefix length {prefix_len} not in 1..{d.dim}")
     if kind not in ("max", "min"):
         raise ValueError(f"kind must be 'max' or 'min', got {kind!r}")
-    pick = max if kind == "max" else min
-    raw = [(abs(pick(a.point[:prefix_len])), a.prob) for a in d.atoms]
-    return UnivariateDist.build(raw)
+    return _prefix_laws(d, prefix_len)[kind][-1]
 
 
 def region_probs(d: ExactJointDist, x: Fraction | int) -> RegionProbs:

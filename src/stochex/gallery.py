@@ -26,6 +26,7 @@ Continuous ids
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -74,6 +75,8 @@ class GalleryEntry:
 
 def axes_dist(n: int) -> ExactJointDist:
     """Uniform on the 2n signed coordinate unit vectors of R^n."""
+    if n < 1:
+        raise InvalidSpec(f"axes needs n >= 1, got n = {n}")
     p = Fraction(1, 2 * n)
     raw = []
     for i in range(n):
@@ -113,13 +116,18 @@ def draws_dist(values: Sequence[Fraction], n: int) -> ExactJointDist:
 
 def product_dist(marginals: Sequence[UnivariateDist]) -> ExactJointDist:
     """Product of independent univariate distributions (values may be signed)."""
+    # Each marginal's masses as ints over its common denominator, so an atom's
+    # mass is one int product over the product of those denominators.
+    dens = [math.lcm(*(p.denominator for _, p in m.atoms)) for m in marginals]
+    scaled = [
+        [(v, p.numerator * (den // p.denominator)) for v, p in m.atoms]
+        for m, den in zip(marginals, dens)
+    ]
+    total = math.prod(dens)
     raw = []
-    for combo in itertools.product(*[m.atoms for m in marginals]):
+    for combo in itertools.product(*scaled):
         point = tuple(v for v, _ in combo)
-        prob = Fraction(1)
-        for _, p in combo:
-            prob *= p
-        raw.append((point, prob))
+        raw.append((point, Fraction(math.prod(w for _, w in combo), total)))
     return ExactJointDist.build(len(marginals), raw)
 
 

@@ -3,6 +3,10 @@
 The comparison is exact: with rational arithmetic, weak dominance that is not
 equality is automatically strict, so `st_compare` never returns the plain
 "less"/"greater" relations; they exist for interface completeness only.
+
+`st_compare` merges the two sorted supports with running cdf values, in
+O(|u| + |v|).  `classify` takes every prefix |max| and |min| law from the
+single exact integer pass in `stochex.extremes`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Optional
 
 from .dist import ExactJointDist, UnivariateDist, format_rational
 from .errors import IndexOutOfRange
-from .extremes import abs_extreme_dist
+from .extremes import _prefix_laws
 
 RELATIONS = (
     "equal",
@@ -50,11 +54,28 @@ def st_compare(u: UnivariateDist, v: UnivariateDist) -> OrderVerdict:
     at some x.  Incomparable verdicts carry one threshold for each direction
     of the crossing.
     """
-    grid = sorted(set(u.values()) | set(v.values()))
+    ua, va = u.atoms, v.atoms
+    nu, nv = len(ua), len(va)
+    i = j = 0
+    fu = fv = Fraction(0)  # F_u(x) and F_v(x) at the current grid point x
     below = None  # first x with F_u < F_v
     above = None  # first x with F_u > F_v
-    for x in grid:
-        fu, fv = u.cdf(x), v.cdf(x)
+    # Walk the sorted union of the two supports.
+    while i < nu or j < nv:
+        if j == nv or (i < nu and ua[i][0] < va[j][0]):
+            x, p = ua[i]
+            fu += p
+            i += 1
+        elif i == nu or va[j][0] < ua[i][0]:
+            x, p = va[j]
+            fv += p
+            j += 1
+        else:
+            x = ua[i][0]
+            fu += ua[i][1]
+            fv += va[j][1]
+            i += 1
+            j += 1
         if fu < fv and below is None:
             below = x
         elif fu > fv and above is None:
@@ -103,18 +124,16 @@ def classify(d: ExactJointDist) -> SequenceClassification:
     """Per-prefix ordering of |max| and |min| chains with the final labels."""
     if d.dim < 2:
         raise IndexOutOfRange("classification needs dim >= 2")
-    steps: dict[str, list[OrderVerdict]] = {"max": [], "min": []}
-    for kind in ("max", "min"):
-        prev = abs_extreme_dist(d, 1, kind)
-        for l in range(2, d.dim + 1):
-            cur = abs_extreme_dist(d, l, kind)
-            steps[kind].append(st_compare(prev, cur))
-            prev = cur
+    laws = _prefix_laws(d, d.dim)
+    steps = {
+        kind: tuple(st_compare(a, b) for a, b in zip(laws[kind], laws[kind][1:]))
+        for kind in ("max", "min")
+    }
     return SequenceClassification(
-        tuple(steps["max"]),
-        tuple(steps["min"]),
-        _chain_label(tuple(steps["max"]), "SIAMX"),
-        _chain_label(tuple(steps["min"]), "SIAMN"),
+        steps["max"],
+        steps["min"],
+        _chain_label(steps["max"], "SIAMX"),
+        _chain_label(steps["min"], "SIAMN"),
     )
 
 

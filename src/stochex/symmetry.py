@@ -211,10 +211,16 @@ def check_sub_super_kl(
 
 
 def check(d: ExactJointDist, kind: str, k: Optional[int] = None, l: Optional[int] = None):
-    """Dispatch a condition by name; used by the CLI and the gallery."""
+    """Dispatch a condition by name; used by the CLI and the gallery.
+
+    The pairwise conditions (RE and the sub/super variants) default to the
+    pair (1, 2) in dim 2 and need explicit k, l otherwise.
+    """
+    if (kind == "RE" or kind in SUB_SUPER_VARIANTS) and (k is None or l is None):
+        if d.dim != 2:
+            raise IndexOutOfRange(f"{kind} needs explicit k, l unless dim = 2")
+        k, l = 1, 2
     if kind == "RE":
-        if d.dim == 2 and k is None:
-            k, l = 1, 2
         return check_re_kl(d, k, l)
     if kind == "RE_N":
         verdict, _ = check_re_n(d)
@@ -226,9 +232,5 @@ def check(d: ExactJointDist, kind: str, k: Optional[int] = None, l: Optional[int
     if kind in BASIC_KINDS:
         return check_basic(d, kind)
     if kind in SUB_SUPER_VARIANTS:
-        if k is None or l is None:
-            if d.dim != 2:
-                raise IndexOutOfRange(f"{kind} needs explicit k, l for dim > 2")
-            k, l = 1, 2
         return check_sub_super_kl(d, k, l, kind)
     raise ValueError(f"unknown symmetry condition {kind!r}")

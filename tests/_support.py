@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from stochex.dist import ExactJointDist, SignedPermutation, UnivariateDist
+from stochex.stochorder import OrderVerdict
 
 # Support coordinates live on a small half-integer grid so that reflections
 # land back on the grid and collisions (shared support with the image) occur
@@ -173,3 +174,36 @@ def product_of(marginals: list[UnivariateDist]) -> ExactJointDist:
             prob *= p
         raw.append((point, prob))
     return ExactJointDist.build(len(marginals), raw)
+
+
+# ---------------------------------------------------------------------------
+# Definitional references for the exact kernels
+
+
+def reference_abs_extreme_dist(d: ExactJointDist, prefix_len: int, kind: str) -> UnivariateDist:
+    """Law of |max(X_1..X_l)| or |min(X_1..X_l)|, atom by atom in Fraction."""
+    pick = max if kind == "max" else min
+    return UnivariateDist.build(
+        [(abs(pick(a.point[:prefix_len])), a.prob) for a in d.atoms]
+    )
+
+
+def reference_st_compare(u: UnivariateDist, v: UnivariateDist) -> OrderVerdict:
+    """First-order comparison by evaluating both cdfs at every point of the
+    union of the supports."""
+    grid = sorted(set(u.values()) | set(v.values()))
+    below = None  # first x with F_u < F_v
+    above = None  # first x with F_u > F_v
+    for x in grid:
+        fu, fv = u.cdf(x), v.cdf(x)
+        if fu < fv and below is None:
+            below = x
+        elif fu > fv and above is None:
+            above = x
+    if below is None and above is None:
+        return OrderVerdict("equal")
+    if below is None:
+        return OrderVerdict("strictly_less", (above,))
+    if above is None:
+        return OrderVerdict("strictly_greater", (below,))
+    return OrderVerdict("incomparable", (below, above))

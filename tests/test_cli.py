@@ -178,3 +178,49 @@ class TestUsageErrors:
 
     def test_order_requires_univariate(self, capsys, sci_json):
         assert main(["order", sci_json, sci_json]) == EXIT_USAGE
+
+
+class TestInputErrorsExit2:
+    """Bad input ends in exit 2 with an `error:` line, never a traceback."""
+
+    @staticmethod
+    def assert_input_error(capsys, *argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 2, "atoms": [{"x": ["1", "0"], "p": "1"}',
+        "",
+        "[1, 2]",
+        '{"atoms": [{"x": ["1"], "p": "1"}]}',
+        '{"dim": 1}',
+        '{"dim": "1", "atoms": [{"x": ["1"], "p": "1"}]}',
+        '{"dim": 1, "atoms": {"x": ["1"], "p": "1"}}',
+        '{"dim": 1, "atoms": [{"p": "1"}]}',
+        '{"dim": 1, "atoms": [{"x": ["1"]}]}',
+        '{"dim": 1, "atoms": [{"x": "1", "p": "1"}]}',
+        '{"dim": 1, "atoms": [{"x": [1], "p": "1"}]}',
+        '{"dim": 1, "atoms": [{"x": ["1"], "p": 1}]}',
+        '{"dim": 1, "atoms": [["1", "1"]]}',
+        '{"dim": 1, "atoms": [{"x": ["1"], "p": "-1"}, {"x": ["2"], "p": "2"}]}',
+    ])
+    def test_malformed_distribution_json(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        self.assert_input_error(capsys, "check", str(path), "--condition", "re-kl")
+
+    def test_distribution_file_not_text(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        self.assert_input_error(capsys, "check", str(path), "--condition", "sci")
+
+    def test_re_kl_needs_pair_beyond_dim_2(self, capsys, tmp_path):
+        path = tmp_path / "dim3.json"
+        path.write_text(ExactJointDist.build(3, [((1, 0, -1), Fraction(1))]).to_json())
+        self.assert_input_error(capsys, "check", str(path), "--condition", "re-kl")
+
+    def test_axes_needs_positive_n(self, capsys):
+        self.assert_input_error(capsys, "absdist", "gallery://axes:0", "--prefix", "1")
