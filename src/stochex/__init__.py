@@ -6,7 +6,6 @@ from .dist import (
     ExactJointDist,
     SignedPermutation,
     UnivariateDist,
-    format_rational,
     parse_rational,
 )
 from .extremes import RegionProbs, abs_extreme_dist, region_probs, verify_region_identities
@@ -47,7 +46,6 @@ __all__ = [
     "check_sub_super_kl",
     "check_ure_lre",
     "classify",
-    "format_rational",
     "parse_rational",
     "region_probs",
     "st_compare",

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 from . import extremes, stochorder, symmetry
 from .contlab import (
+    EllipticalModel,
+    GaussianGenerator,
     MCConfig,
     dkw_band,
     folded_normal_cdf,
@@ -148,25 +151,33 @@ def _cmd_phi2(args) -> int:
 def _cmd_identity11(args) -> int:
     steps = args.steps
     xs = [args.xmax * i / (steps - 1) for i in range(steps)] if steps > 1 else [0.0]
-    rhos = [float(r) for r in args.rhos.split(",")]
-    report = verify_identity_11(xs, rhos)
+    report = verify_identity_11(xs, args.rhos)
     _emit(report)
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
 def _cmd_mc(args) -> int:
     cfg = MCConfig(sample_count=args.n, seed=args.seed, alpha=args.alpha)
-    model_id = args.model_id
-    if model_id.startswith("mlr:"):
-        family, t1, t2 = model_id[len("mlr:"):].split(",")
-        report = verify_mlr_example(float(t1), float(t2), family, cfg)
+    entry = gallery(args.model_id)
+    model = entry.dist
+    if entry.id.startswith("mlr:"):
+        report = verify_mlr_example(model["theta1"], model["theta2"], model["family"], cfg)
         _emit(report)
         return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
-
-    entry = gallery(model_id)
-    if entry.kind != "continuous":
-        raise StochexError(f"mc needs a continuous model, got {model_id!r}")
-    model = entry.dist
+    if not isinstance(model, EllipticalModel):
+        raise StochexError(f"mc needs an elliptical model, got {entry.id!r}")
+    mu = model.mean[0]
+    if args.check == "absmax-absx-ks" and not (
+        model.dim == 2
+        and isinstance(model.generator, GaussianGenerator)
+        and model.mean[1] == -mu
+        and model.scale[0][0] == model.scale[1][1] == 1.0
+    ):
+        # Only for this model is the folded normal of X the law of |max|.
+        raise StochexError(
+            f"{args.check} needs a bivariate Gaussian with means (mu, -mu) "
+            f"and unit variances, got {entry.id!r}"
+        )
     xy = sample_elliptical(model, cfg)
     abs_max = abs(xy.max(axis=1))
     abs_min = abs(xy.min(axis=1))
@@ -174,51 +185,51 @@ def _cmd_mc(args) -> int:
     abs_y = abs(xy[:, 1]) if xy.shape[1] > 1 else abs_x
 
     if args.check == "absmax-absx-ks":
-        mu = model.mean[0]
         dist = ks_distance(abs_max, lambda t: folded_normal_cdf(t, mu))
         band = dkw_band(cfg.sample_count, cfg.alpha)
-        report = {
-            "check": args.check,
-            "max_deviation": dist,
-            "tolerance": band,
-            "pass": dist <= band,
-            "n": cfg.sample_count,
-            "seed": cfg.seed,
-        }
+        report = {"max_deviation": dist, "tolerance": band, "pass": dist <= band}
     elif args.check == "min-max-equal":
         fwd = mc_dominance(abs_min, abs_max, cfg)
         bwd = mc_dominance(abs_max, abs_min, cfg)
-        report = {
-            "check": args.check,
-            "forward": fwd,
-            "backward": bwd,
-            "pass": fwd["pass"] and bwd["pass"],
-            "n": cfg.sample_count,
-            "seed": cfg.seed,
-        }
-    elif args.check == "ure-chain":
-        # |min| <=_st |X|, |Y| <=_st |max|
+        report = {"forward": fwd, "backward": bwd, "pass": fwd["pass"] and bwd["pass"]}
+    else:  # ure-chain: |min| <=_st |X|, |Y| <=_st |max|
         parts = {
             "absmin_le_absX": mc_dominance(abs_min, abs_x, cfg),
             "absmin_le_absY": mc_dominance(abs_min, abs_y, cfg),
             "absX_le_absmax": mc_dominance(abs_x, abs_max, cfg),
             "absY_le_absmax": mc_dominance(abs_y, abs_max, cfg),
         }
-        report = {
-            "check": args.check,
-            "parts": parts,
-            "pass": all(p["pass"] for p in parts.values()),
-            "n": cfg.sample_count,
-            "seed": cfg.seed,
-        }
-    else:
-        raise StochexError(f"unknown mc check {args.check!r}")
-    _emit(report)
+        report = {"parts": parts, "pass": all(p["pass"] for p in parts.values())}
+    _emit({"check": args.check, **report, "n": cfg.sample_count, "seed": cfg.seed})
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
+# Argument types: argparse reports their ValueError as "invalid <name> value".
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def nonnegative(text: str) -> float:
+    value = finite(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def finite_list(text: str) -> list[float]:
+    return [finite(part) for part in text.split(",")]
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # an `error:` line first, as for every input error
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stochex",
         description="Exact and numeric checks for reverse-exchangeability "
         "symmetries and absolute extreme order statistics.",
@@ -259,19 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", nargs="?")
     p.add_argument("--list", action="store_true")
     p.add_argument("--emit", action="store_true", help="print the distribution JSON")
-    p.add_argument("--verify", action="store_true", help="run the entry expectations")
     p.set_defaults(func=_cmd_gallery)
 
     p = sub.add_parser("phi2", help="standard bivariate normal cdf")
-    p.add_argument("x", type=float)
-    p.add_argument("y", type=float)
-    p.add_argument("rho", type=float)
+    p.add_argument("x", type=finite)
+    p.add_argument("y", type=finite)
+    p.add_argument("rho", type=finite)
     p.set_defaults(func=_cmd_phi2)
 
     p = sub.add_parser("identity11", help="grid check of the absmax cdf identity")
-    p.add_argument("--xmax", type=float, default=3.0)
+    p.add_argument("--xmax", type=nonnegative, default=3.0)
     p.add_argument("--steps", type=int, default=13)
-    p.add_argument("--rhos", default="-0.95,-0.5,0,0.5,0.95")
+    p.add_argument("--rhos", type=finite_list, default="-0.95,-0.5,0,0.5,0.95")
     p.set_defaults(func=_cmd_identity11)
 
     p = sub.add_parser("mc", help="Monte Carlo dominance checks on a continuous model")

@@ -9,7 +9,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..errors import EmptyGrid, InvalidSpec, NotPositiveDefinite
-from ..symmetry import in_sub_super_region
+from ..dist import SignedPermutation
+from ..symmetry import in_region
 
 PD_EIGENVALUE_TOL = 1e-10
 
@@ -112,12 +113,6 @@ def intraclass_model(
     return EllipticalModel((0.0,) * n, scale, generator or GaussianGenerator())
 
 
-def _reflect(point: tuple[float, ...], k: int, l: int) -> tuple[float, ...]:
-    out = list(point)
-    out[k - 1], out[l - 1] = -point[l - 1], -point[k - 1]
-    return tuple(out)
-
-
 def density_symmetry_grid(
     model: EllipticalModel,
     condition: str,
@@ -132,23 +127,15 @@ def density_symmetry_grid(
     URE/LRE demand equality f(x) = f(reflected x) on the open half-plane
     x_k < x_l (URE) or x_k > x_l (LRE); URsub/LRsub demand
     f(x) >= f(reflected x) on the condition's open region, URsup/LRsup the
-    reversed inequality.
+    reversed inequality.  The regions are those of `symmetry.in_region`, which
+    also rejects an unknown condition.
     """
     axes = [list(ax) for ax in grid_axes]
     if not axes or any(len(ax) == 0 for ax in axes):
         raise EmptyGrid("grid must be a nonempty product of nonempty axes")
     if len(axes) != model.dim:
         raise InvalidSpec(f"grid has {len(axes)} axes, model has dim {model.dim}")
-
-    def in_region(pt: tuple[float, ...]) -> bool:
-        if condition == "URE":
-            return pt[k - 1] < pt[l - 1]
-        if condition == "LRE":
-            return pt[k - 1] > pt[l - 1]
-        return in_sub_super_region(pt, k, l, condition)
-
-    if condition not in ("URE", "LRE", "URsub", "LRsub", "URsup", "LRsup"):
-        raise ValueError(f"unknown grid condition {condition!r}")
+    reflect = SignedPermutation.reverse_pair(model.dim, k, l).apply
 
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
@@ -157,11 +144,11 @@ def density_symmetry_grid(
     worst = 0.0
     for row in points:
         pt = tuple(float(c) for c in row)
-        if not in_region(pt):
+        if not in_region(pt, k, l, condition):
             continue
         checked += 1
         f = model.density(pt)
-        g = model.density(_reflect(pt, k, l))
+        g = model.density(reflect(pt))
         if condition in ("URE", "LRE"):
             dev = abs(f - g)
         elif condition.endswith("sub"):
@@ -243,13 +230,6 @@ def build_gaussian_seq(spec: GaussianSeqSpec) -> tuple[np.ndarray, np.ndarray]:
         for j in range(1, m):
             r = free if j == k else -corr[k - 1, j - 1]
             corr[m - 1, j - 1] = corr[j - 1, m - 1] = r
-    # The recursion is a pure sign copy; re-verify the defining equations.
-    for m in range(2, n + 1):
-        k = spec.anchor(m)
-        assert mu[m - 1] == -mu[k - 1]
-        for j in range(1, m):
-            if j != k:
-                assert corr[m - 1, j - 1] == -corr[k - 1, j - 1]
     _check_positive_definite(corr)
     return mu, corr
 

@@ -24,8 +24,6 @@ from .errors import (
     ProbabilityNotOne,
 )
 
-Rational = Fraction
-
 Point = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -37,10 +35,6 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise InvalidRational(f"invalid rational literal: {text!r}")
     return Fraction(text)
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
 
 
 def _as_fraction(x: Fraction | int) -> Fraction:
@@ -212,8 +206,8 @@ class ExactJointDist:
             "dim": self.dim,
             "atoms": [
                 {
-                    "x": [format_rational(c) for c in a.point],
-                    "p": format_rational(a.prob),
+                    "x": [str(c) for c in a.point],
+                    "p": str(a.prob),
                 }
                 for a in self.atoms
             ],
@@ -297,7 +291,7 @@ class UnivariateDist:
     def to_jsonable(self) -> dict:
         return {
             "atoms": [
-                {"v": format_rational(v), "p": format_rational(p)}
+                {"v": str(v), "p": str(p)}
                 for v, p in self.atoms
             ]
         }

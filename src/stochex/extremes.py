@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dist import ExactJointDist, UnivariateDist, format_rational
+from .dist import ExactJointDist, UnivariateDist
 from .errors import DimensionMismatch, NegativeThreshold, PrefixOutOfRange
 
 
@@ -30,12 +30,12 @@ class RegionProbs:
 
     def to_jsonable(self) -> dict:
         return {
-            "x": format_rational(self.x),
-            "N": format_rational(self.north),
-            "S": format_rational(self.south),
-            "E": format_rational(self.east),
-            "W": format_rational(self.west),
-            "C": format_rational(self.center),
+            "x": str(self.x),
+            "N": str(self.north),
+            "S": str(self.south),
+            "E": str(self.east),
+            "W": str(self.west),
+            "C": str(self.center),
         }
 
 
@@ -134,13 +134,13 @@ def verify_region_identities(d: ExactJointDist, x: Fraction | int) -> dict:
     for name, lhs, rhs in identities:
         if lhs != rhs:
             return {
-                "x": format_rational(x),
+                "x": str(x),
                 "ok": False,
                 "violated": name,
-                "lhs": format_rational(lhs),
-                "rhs": format_rational(rhs),
+                "lhs": str(lhs),
+                "rhs": str(rhs),
             }
-    return {"x": format_rational(x), "ok": True, "checked": len(identities)}
+    return {"x": str(x), "ok": True, "checked": len(identities)}
 
 
 def cdf_table_csv(u: UnivariateDist, decimal: bool = False) -> str:
@@ -153,5 +153,5 @@ def cdf_table_csv(u: UnivariateDist, decimal: bool = False) -> str:
         if decimal:
             out.write(f"{float(v)!r},{float(total)!r}\n")
         else:
-            out.write(f"{format_rational(v)},{format_rational(total)}\n")
+            out.write(f"{v},{total}\n")
     return out.getvalue()

@@ -177,16 +177,18 @@ def indep_sym_step_dist() -> ExactJointDist:
 # Expectation helpers
 
 
-def _expect(cond: bool, detail: str) -> tuple[bool, str]:
-    return cond, detail
-
-
 def _verdict_holds(v: symmetry.SymmetryVerdict) -> tuple[bool, str]:
     return v.holds, f"{v.condition.label()} holds={v.holds}"
 
 
 def _verdict_fails(v: symmetry.SymmetryVerdict) -> tuple[bool, str]:
     return not v.holds, f"{v.condition.label()} holds={v.holds}"
+
+
+def _labels(d: ExactJointDist, want: Callable[[str, str], bool]) -> tuple[bool, str]:
+    """Classify d once; pass when want(label_max, label_min) is true."""
+    c = stochorder.classify(d)
+    return want(c.label_max, c.label_min), f"labels {c.label_max}, {c.label_min}"
 
 
 def _abs_dist_equals(u: UnivariateDist, expected: dict) -> tuple[bool, str]:
@@ -257,7 +259,7 @@ def _entry_draws2(values: tuple[Fraction, ...]) -> GalleryEntry:
             ),
             (
                 "absmax equals absX",
-                lambda: _expect(
+                lambda: (
                     abs_extreme_dist(d, 2, "max") == abs_extreme_dist(d, 1, "max"),
                     "exact equality of |max| and |X| distributions",
                 ),
@@ -287,12 +289,7 @@ def _entry_axes(n: int) -> GalleryEntry:
             ("cdf-at-0 chain", chain_cdf_at_zero),
             (
                 "classified SSIAMX*/SSIAMN*",
-                lambda: _expect(
-                    (c := stochorder.classify(d)).label_max == "SSIAMX*"
-                    and c.label_min == "SSIAMN*",
-                    f"labels {stochorder.classify(d).label_max}, "
-                    f"{stochorder.classify(d).label_min}",
-                ),
+                lambda: _labels(d, lambda mx, mn: (mx, mn) == ("SSIAMX*", "SSIAMN*")),
             ),
         ),
     )
@@ -344,12 +341,7 @@ def _entry_alt_signs(n: int) -> GalleryEntry:
             ("prefix reversals hold", prefix_re),
             (
                 "starred classification",
-                lambda: _expect(
-                    (c := stochorder.classify(d)).label_max.endswith("*")
-                    and c.label_min.endswith("*"),
-                    f"labels {stochorder.classify(d).label_max}, "
-                    f"{stochorder.classify(d).label_min}",
-                ),
+                lambda: _labels(d, lambda mx, mn: mx.endswith("*") and mn.endswith("*")),
             ),
         ),
     )
@@ -384,12 +376,7 @@ def _entry_draws_n(values: tuple[Fraction, ...], n: int) -> GalleryEntry:
         expectations.append(
             (
                 "classified SSIAMX*/SSIAMN*",
-                lambda: _expect(
-                    (c := stochorder.classify(d)).label_max == "SSIAMX*"
-                    and c.label_min == "SSIAMN*",
-                    f"labels {stochorder.classify(d).label_max}, "
-                    f"{stochorder.classify(d).label_min}",
-                ),
+                lambda: _labels(d, lambda mx, mn: (mx, mn) == ("SSIAMX*", "SSIAMN*")),
             )
         )
     return GalleryEntry(
@@ -415,12 +402,7 @@ def _entry_iid_sym(marginal_name: str, n: int) -> GalleryEntry:
             ("ESCI holds", lambda: _verdict_holds(symmetry.check_basic(d, "ESCI"))),
             (
                 f"classified {want_max}/{want_min}",
-                lambda: _expect(
-                    (c := stochorder.classify(d)).label_max == want_max
-                    and c.label_min == want_min,
-                    f"labels {stochorder.classify(d).label_max}, "
-                    f"{stochorder.classify(d).label_min}",
-                ),
+                lambda: _labels(d, lambda mx, mn: (mx, mn) == (want_max, want_min)),
             ),
         ),
     )
@@ -444,14 +426,14 @@ def _entry_indep_sym_step() -> GalleryEntry:
             ("absmax cdf is {0:1/2, 1:7/8, 2:1}", absmax_cdf),
             (
                 "|min| equals |max|",
-                lambda: _expect(
+                lambda: (
                     abs_extreme_dist(d, 2, "min") == abs_extreme_dist(d, 2, "max"),
                     "exact equality",
                 ),
             ),
             (
                 "|X| strictly below |max|",
-                lambda: _expect(
+                lambda: (
                     stochorder.st_compare(
                         abs_extreme_dist(d, 1, "max"), abs_extreme_dist(d, 2, "max")
                     ).relation

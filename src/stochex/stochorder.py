@@ -1,8 +1,8 @@
 """First-order stochastic comparison and prefix-chain classification.
 
 The comparison is exact: with rational arithmetic, weak dominance that is not
-equality is automatically strict, so `st_compare` never returns the plain
-"less"/"greater" relations; they exist for interface completeness only.
+equality is automatically strict, so `st_compare` returns one of "equal",
+"strictly_less", "strictly_greater" and "incomparable".
 
 `st_compare` merges the two sorted supports with running cdf values, in
 O(|u| + |v|).  `classify` takes every prefix |max| and |min| law from the
@@ -15,19 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dist import ExactJointDist, UnivariateDist, format_rational
+from .dist import ExactJointDist, UnivariateDist
 from .errors import IndexOutOfRange
 from .extremes import _prefix_laws
-
-RELATIONS = (
-    "equal",
-    "less",
-    "strictly_less",
-    "greater",
-    "strictly_greater",
-    "incomparable",
-)
-
 
 @dataclass(frozen=True)
 class OrderVerdict:
@@ -35,15 +25,12 @@ class OrderVerdict:
     crossing_witness: tuple[Fraction, ...] = ()
 
     def is_leq(self) -> bool:
-        return self.relation in ("equal", "less", "strictly_less")
-
-    def is_strict(self) -> bool:
-        return self.relation in ("strictly_less", "strictly_greater")
+        return self.relation in ("equal", "strictly_less")
 
     def to_jsonable(self) -> dict:
         return {
             "relation": self.relation,
-            "crossing_witness": [format_rational(x) for x in self.crossing_witness],
+            "crossing_witness": [str(x) for x in self.crossing_witness],
         }
 
 
@@ -202,21 +189,21 @@ def strict_chain_preconditions(d: ExactJointDist) -> dict:
     return {
         "n": n,
         "ssiamx": {
-            "step2_lhs": format_rational(p_x2_above),
-            "step2_rhs": format_rational(p_x1_below),
+            "step2_lhs": str(p_x2_above),
+            "step2_rhs": str(p_x1_below),
             "step2_holds": p_x2_above > p_x1_below,
             "positivity": {
-                str(l): format_rational(p) for l, p in max_positivity.items()
+                str(l): str(p) for l, p in max_positivity.items()
             },
             "holds": ssiamx_ok,
         },
         "ssiamn": {
-            "step2_lhs": format_rational(p_x1_above),
-            "step2_rhs": format_rational(p_x2_below),
+            "step2_lhs": str(p_x1_above),
+            "step2_rhs": str(p_x2_below),
             "step2_holds": p_x1_above < p_x2_below,
             "step2_holds_reversed": p_x1_above > p_x2_below,
             "positivity": {
-                str(l): format_rational(p) for l, p in min_positivity.items()
+                str(l): str(p) for l, p in min_positivity.items()
             },
             "holds": ssiamn_ok,
         },

@@ -1,5 +1,11 @@
 """Symmetry condition checks for exact joint distributions.
 
+Every check is one reflection scan (`_scan`) per signed permutation m: pmf
+equality at p and m p (RE, E, SCI, ESCI, ERE), equality on a region (URE,
+LRE) or a one-sided inequality on a region (the sub/super variants), with the
+regions of `in_region`.  The group conditions scan a generating set of their
+group, not all n! permutations and 2^n sign changes.
+
 Every check returns a :class:`SymmetryVerdict`; failing verdicts carry a
 concrete witness (a point, its probability, its reflected image, and the
 image's probability) that reproduces the violation under the pmf.
@@ -7,12 +13,12 @@ image's probability) that reproduces the violation under the pmf.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
-from .dist import ExactJointDist, Point, SignedPermutation, format_rational
+from .dist import ExactJointDist, Point, SignedPermutation
 from .errors import DimensionMismatch, IndexOutOfRange
 
 BASIC_KINDS = ("E", "SCI", "ESCI", "ERE")
@@ -40,10 +46,10 @@ class Witness:
 
     def to_jsonable(self) -> dict:
         return {
-            "point": [format_rational(c) for c in self.point],
-            "prob": format_rational(self.prob),
-            "reflected": [format_rational(c) for c in self.reflected],
-            "reflected_prob": format_rational(self.reflected_prob),
+            "point": [str(c) for c in self.point],
+            "prob": str(self.prob),
+            "reflected": [str(c) for c in self.reflected],
+            "reflected_prob": str(self.reflected_prob),
         }
 
 
@@ -65,24 +71,29 @@ class SymmetryVerdict:
         }
 
 
-def _equality_witness(d: ExactJointDist, m: SignedPermutation) -> Optional[Witness]:
-    """First support point (of d or of its image) whose pmf differs from the image pmf."""
-    inv = m.inverse()
-    candidates = set(d.support())
-    candidates.update(inv.apply(p) for p in d.support())
+def _scan(
+    d: ExactJointDist, m: SignedPermutation, condition: SymmetryCondition,
+    region: Optional[Callable[[Point], bool]] = None, violated=operator.ne,
+) -> SymmetryVerdict:
+    """Fail at the first point p of support ∪ m⁻¹(support), in sorted order and
+    inside `region`, with violated(pmf(p), pmf(m p)); elsewhere both are 0."""
+    support = d.support()
+    candidates = set(support)
+    candidates.update(map(m.inverse().apply, support))
     for point in sorted(candidates):
+        if region is not None and not region(point):
+            continue
         image = m.apply(point)
         p, q = d.pmf(point), d.pmf(image)
-        if p != q:
-            return Witness(point, p, image, q)
-    return None
+        if violated(p, q):
+            return SymmetryVerdict(condition, False, Witness(point, p, image, q))
+    return SymmetryVerdict(condition, True)
 
 
 def check_map_invariance(
     d: ExactJointDist, m: SignedPermutation, condition: SymmetryCondition
 ) -> SymmetryVerdict:
-    witness = _equality_witness(d, m)
-    return SymmetryVerdict(condition, witness is None, witness)
+    return _scan(d, m, condition)
 
 
 def check_re_kl(d: ExactJointDist, k: int, l: int) -> SymmetryVerdict:
@@ -96,14 +107,13 @@ def check_re_n(d: ExactJointDist) -> tuple[SymmetryVerdict, Optional[int]]:
 
     Returns the first satisfying k, or the verdict of the last failing pair.
     """
-    last = None
+    if d.dim < 2:
+        raise DimensionMismatch("RE_N needs dim >= 2")
     for k in range(1, d.dim):
         v = check_re_kl(d, k, d.dim)
         if v.holds:
             return v, k
-        last = v
-    assert last is not None
-    return last, None
+    return v, None
 
 
 def check_ure_lre(d: ExactJointDist, side: str) -> SymmetryVerdict:
@@ -119,68 +129,73 @@ def check_ure_lre(d: ExactJointDist, side: str) -> SymmetryVerdict:
         raise DimensionMismatch("URE/LRE are bivariate conditions")
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-    condition = SymmetryCondition("URE" if side == "upper" else "LRE")
-    m = SignedPermutation.reverse_pair(2, 1, 2)
-    candidates = set(d.support())
-    candidates.update(m.apply(p) for p in d.support())
-    for point in sorted(candidates):
-        a, b = point
-        in_region = a < b if side == "upper" else a > b
-        if not in_region:
-            continue
-        image = m.apply(point)
-        p, q = d.pmf(point), d.pmf(image)
-        if p != q:
-            return SymmetryVerdict(condition, False, Witness(point, p, image, q))
-    return SymmetryVerdict(condition, True)
+    kind = "URE" if side == "upper" else "LRE"
+    return _scan(d, SignedPermutation.reverse_pair(2, 1, 2), SymmetryCondition(kind),
+                 lambda p: in_region(p, 1, 2, kind))
+
+
+def _generators(kind: str, n: int) -> list[SignedPermutation]:
+    """Generators of the group of `kind`: the adjacent transpositions for S_n and
+    the single sign flips for the sign changes, each from the last coordinate
+    back.  The first j! permutations (2^j sign vectors) in itertools order form
+    the group on the last j coordinates and the next is the generator joining
+    one more, so the first failing generator is the first failing map of the
+    whole group in that order, with the same witness."""
+    swaps = [
+        SignedPermutation.from_permutation((*range(i), i + 1, i, *range(i + 2, n)))
+        for i in reversed(range(n - 1))
+    ]
+    flips = [
+        SignedPermutation.sign_change([-1 if j == i else 1 for j in range(n)])
+        for i in reversed(range(n))
+    ]
+    if kind == "E":
+        return swaps
+    if kind == "SCI":
+        return flips
+    if kind == "ESCI":
+        return swaps + flips[:1]  # permutations conjugate one flip to all others
+    return swaps + [SignedPermutation.reverse_pair(2, 1, 2)]  # ERE
 
 
 def check_basic(d: ExactJointDist, kind: str) -> SymmetryVerdict:
-    """E (all permutations), SCI (all sign changes), ESCI (both), ERE (E and RE)."""
+    """E (all permutations), SCI (all sign changes), ESCI (both), ERE (E and RE),
+    each decided on a generating set of its group: the maps that leave a pmf
+    invariant form a group, so invariance under the generators is invariance
+    under the whole group."""
     if kind not in BASIC_KINDS:
         raise ValueError(f"kind must be one of {BASIC_KINDS}, got {kind!r}")
+    if kind == "ERE" and d.dim != 2:
+        raise DimensionMismatch("ERE is a bivariate condition")
     condition = SymmetryCondition(kind)
-    n = d.dim
-    if kind in ("E", "ESCI", "ERE"):
-        for perm in itertools.permutations(range(n)):
-            w = _equality_witness(d, SignedPermutation.from_permutation(perm))
-            if w is not None:
-                return SymmetryVerdict(condition, False, w)
-    if kind in ("SCI", "ESCI"):
-        for signs in itertools.product((1, -1), repeat=n):
-            w = _equality_witness(d, SignedPermutation.sign_change(signs))
-            if w is not None:
-                return SymmetryVerdict(condition, False, w)
-    if kind == "ERE":
-        if n != 2:
-            raise DimensionMismatch("ERE is a bivariate condition")
-        re = check_re_kl(d, 1, 2)
-        if not re.holds:
-            return SymmetryVerdict(condition, False, re.witness)
+    for m in _generators(kind, d.dim):
+        verdict = _scan(d, m, condition)
+        if not verdict.holds:
+            return verdict
     return SymmetryVerdict(condition, True)
 
 
-def in_sub_super_region(point: Point, k: int, l: int, variant: str) -> bool:
-    """Open region on which the sub/super-exchangeability inequality is required.
+def in_region(point: Point, k: int, l: int, condition: str) -> bool:
+    """Whether `condition` constrains the pmf (or density) at `point`.
 
-    UR variants: |x_k| < x_l and x_i < -|x_k| for i != k, l.
-    LR variants: |x_l| < x_k and x_i < -|x_l| for i != k, l.
-    All inequalities are strict; boundary points never constrain the check.
+    URE: x_k < x_l.  LRE: x_k > x_l.
+    UR sub/super variants: |x_k| < x_l and x_i < -|x_k| for i != k, l.
+    LR sub/super variants: |x_l| < x_k and x_i < -|x_l| for i != k, l.
+    All inequalities are strict; boundary points never constrain a check.
     """
     xk, xl = point[k - 1], point[l - 1]
-    if variant in ("URsub", "URsup"):
-        pivot = abs(xk)
-        if not pivot < xl:
-            return False
+    if condition == "URE":
+        return xk < xl
+    if condition == "LRE":
+        return xk > xl
+    if condition in ("URsub", "URsup"):
+        pivot, top = abs(xk), xl
+    elif condition in ("LRsub", "LRsup"):
+        pivot, top = abs(xl), xk
     else:
-        pivot = abs(xl)
-        if not pivot < xk:
-            return False
-    return all(
-        point[i] < -pivot
-        for i in range(len(point))
-        if i not in (k - 1, l - 1)
-    )
+        raise ValueError(f"unknown region condition {condition!r}")
+    others = (x for i, x in enumerate(point) if i not in (k - 1, l - 1))
+    return pivot < top and all(x < -pivot for x in others)
 
 
 def check_sub_super_kl(
@@ -193,21 +208,10 @@ def check_sub_super_kl(
     """
     if variant not in SUB_SUPER_VARIANTS:
         raise ValueError(f"variant must be one of {SUB_SUPER_VARIANTS}, got {variant!r}")
-    if not (1 <= k < l <= d.dim):
-        raise IndexOutOfRange(f"need 1 <= k < l <= {d.dim}, got k={k}, l={l}")
-    condition = SymmetryCondition(variant, k, l)
+    violated = operator.lt if variant.endswith("sub") else operator.gt
     m = SignedPermutation.reverse_pair(d.dim, k, l)
-    candidates = set(d.support())
-    candidates.update(m.apply(p) for p in d.support())
-    for point in sorted(candidates):
-        if not in_sub_super_region(point, k, l, variant):
-            continue
-        image = m.apply(point)
-        p, q = d.pmf(point), d.pmf(image)
-        violated = p < q if variant.endswith("sub") else p > q
-        if violated:
-            return SymmetryVerdict(condition, False, Witness(point, p, image, q))
-    return SymmetryVerdict(condition, True)
+    return _scan(d, m, SymmetryCondition(variant, k, l),
+                 lambda p: in_region(p, k, l, variant), violated)
 
 
 def check(d: ExactJointDist, kind: str, k: Optional[int] = None, l: Optional[int] = None):

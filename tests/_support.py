@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from stochex.dist import ExactJointDist, SignedPermutation, UnivariateDist
 from stochex.stochorder import OrderVerdict
+from stochex.symmetry import SymmetryCondition, SymmetryVerdict, Witness
 
 # Support coordinates live on a small half-integer grid so that reflections
 # land back on the grid and collisions (shared support with the image) occur
@@ -207,3 +208,94 @@ def reference_st_compare(u: UnivariateDist, v: UnivariateDist) -> OrderVerdict:
     if above is None:
         return OrderVerdict("strictly_greater", (below,))
     return OrderVerdict("incomparable", (below, above))
+
+
+# ---------------------------------------------------------------------------
+# Whole-group and per-check references for the symmetry scans
+
+
+def reference_equality_witness(d: ExactJointDist, m: SignedPermutation):
+    """First support point (of d or of its preimage) whose pmf differs from
+    the pmf at its image under m, as a Witness, or None."""
+    inv = m.inverse()
+    candidates = set(d.support())
+    candidates.update(inv.apply(p) for p in d.support())
+    for point in sorted(candidates):
+        image = m.apply(point)
+        p, q = d.pmf(point), d.pmf(image)
+        if p != q:
+            return Witness(point, p, image, q)
+    return None
+
+
+def reference_check_basic(d: ExactJointDist, kind: str):
+    """E, SCI, ESCI and ERE by enumerating all n! permutations and all 2^n
+    sign changes, in itertools order."""
+    import itertools
+
+    condition = SymmetryCondition(kind)
+    n = d.dim
+    maps = []
+    if kind in ("E", "ESCI", "ERE"):
+        maps += [
+            SignedPermutation.from_permutation(p)
+            for p in itertools.permutations(range(n))
+        ]
+    if kind in ("SCI", "ESCI"):
+        maps += [
+            SignedPermutation.sign_change(s)
+            for s in itertools.product((1, -1), repeat=n)
+        ]
+    if kind == "ERE":
+        assert n == 2
+        maps.append(SignedPermutation.reverse_pair(2, 1, 2))
+    for m in maps:
+        w = reference_equality_witness(d, m)
+        if w is not None:
+            return SymmetryVerdict(condition, False, w)
+    return SymmetryVerdict(condition, True)
+
+
+def reference_in_region(point, k: int, l: int, kind: str) -> bool:
+    """URE: x_k < x_l; LRE: x_k > x_l; UR sub/super: |x_k| < x_l and the
+    other coordinates below -|x_k|; LR sub/super: |x_l| < x_k and the other
+    coordinates below -|x_l|."""
+    xk, xl = point[k - 1], point[l - 1]
+    if kind == "URE":
+        return xk < xl
+    if kind == "LRE":
+        return xk > xl
+    if kind in ("URsub", "URsup"):
+        pivot = abs(xk)
+        if not pivot < xl:
+            return False
+    else:
+        pivot = abs(xl)
+        if not pivot < xk:
+            return False
+    return all(point[i] < -pivot for i in range(len(point)) if i not in (k - 1, l - 1))
+
+
+def reference_pair_scan(d: ExactJointDist, kind: str, k: int = 1, l: int = 2):
+    """RE, URE/LRE and the sub/super variants as separate loops over the
+    support and its reflection: equality everywhere (RE), equality on the
+    region (URE/LRE), f >= f(reflected) (sub) or <= (sup) on the region."""
+    pairwise = kind not in ("URE", "LRE")
+    condition = SymmetryCondition(kind, k, l) if pairwise else SymmetryCondition(kind)
+    m = SignedPermutation.reverse_pair(d.dim, k, l)
+    candidates = set(d.support())
+    candidates.update(m.apply(p) for p in d.support())
+    for point in sorted(candidates):
+        if kind != "RE" and not reference_in_region(point, k, l, kind):
+            continue
+        image = m.apply(point)
+        p, q = d.pmf(point), d.pmf(image)
+        if kind.endswith("sub"):
+            violated = p < q
+        elif kind.endswith("sup"):
+            violated = p > q
+        else:
+            violated = p != q
+        if violated:
+            return SymmetryVerdict(condition, False, Witness(point, p, image, q))
+    return SymmetryVerdict(condition, True)

@@ -113,7 +113,7 @@ class TestGallerySubcommand:
         assert len(d.atoms) == 2
 
     def test_verify(self, capsys):
-        code, out = run(capsys, "gallery", "remark-asym", "--verify")
+        code, out = run(capsys, "gallery", "remark-asym")
         assert code == EXIT_OK
         report = json.loads(out)
         assert all(r["pass"] for r in report["expectations"])
@@ -222,5 +222,22 @@ class TestInputErrorsExit2:
         path.write_text(ExactJointDist.build(3, [((1, 0, -1), Fraction(1))]).to_json())
         self.assert_input_error(capsys, "check", str(path), "--condition", "re-kl")
 
+    def test_re_n_needs_dim_2(self, capsys, tmp_path):
+        path = tmp_path / "dim1.json"
+        path.write_text(ExactJointDist.build(1, [((1,), Fraction(1))]).to_json())
+        self.assert_input_error(capsys, "check", str(path), "--condition", "re-n")
+
     def test_axes_needs_positive_n(self, capsys):
         self.assert_input_error(capsys, "absdist", "gallery://axes:0", "--prefix", "1")
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "mlr:normal,1"],
+        ["mc", "gauss-seq:1,4", "--n", "1000"],
+        ["mc", "intraclass:3,-0.3", "--check", "absmax-absx-ks", "--n", "1000"],
+        ["phi2", "nan", "0", "0.5"],
+        ["phi2", "inf", "0", "0.5"],
+        ["identity11", "--xmax", "-1"],
+        ["identity11", "--rhos", "x"],
+    ])
+    def test_numeric_command_inputs(self, capsys, argv):
+        self.assert_input_error(capsys, *argv)

@@ -21,7 +21,7 @@ from stochex.symmetry import (
     check_re_n,
     check_sub_super_kl,
     check_ure_lre,
-    in_sub_super_region,
+    in_region,
 )
 
 SCI_NOT_RE = ExactJointDist.build(
@@ -176,17 +176,17 @@ class TestWitnesses:
 class TestRegions:
     def test_sub_super_region_membership(self):
         # UR region: |x_k| < x_l and the other coordinates below -|x_k|.
-        assert in_sub_super_region((Fraction(1), Fraction(2)), 1, 2, "URsub")
-        assert not in_sub_super_region((Fraction(2), Fraction(2)), 1, 2, "URsub")
-        assert not in_sub_super_region((Fraction(-3), Fraction(2)), 1, 2, "URsub")
+        assert in_region((Fraction(1), Fraction(2)), 1, 2, "URsub")
+        assert not in_region((Fraction(2), Fraction(2)), 1, 2, "URsub")
+        assert not in_region((Fraction(-3), Fraction(2)), 1, 2, "URsub")
         # LR region mirrors with the roles of k and l exchanged.
-        assert in_sub_super_region((Fraction(2), Fraction(-1)), 1, 2, "LRsub")
-        assert not in_sub_super_region((Fraction(2), Fraction(2)), 1, 2, "LRsub")
+        assert in_region((Fraction(2), Fraction(-1)), 1, 2, "LRsub")
+        assert not in_region((Fraction(2), Fraction(2)), 1, 2, "LRsub")
         # Spectator coordinates must sit strictly below -pivot.
-        assert in_sub_super_region(
+        assert in_region(
             (Fraction(1), Fraction(-5), Fraction(2)), 1, 3, "URsup"
         )
-        assert not in_sub_super_region(
+        assert not in_region(
             (Fraction(1), Fraction(-1), Fraction(2)), 1, 3, "URsup"
         )
 
