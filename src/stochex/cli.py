@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -223,9 +224,23 @@ def finite_list(text: str) -> list[float]:
     return [finite(part) for part in text.split(",")]
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # an `error:` line first, as for every input error
         self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n{self.format_usage()}")
+
+    def _parse_optional(self, arg_string):
+        # "-" followed by a digit or "." is always a value (no option starts so);
+        # argparse's own negative-number pattern misses forms such as -1e-3.
+        if re.match(r"-[\d.]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity11", help="grid check of the absmax cdf identity")
     p.add_argument("--xmax", type=nonnegative, default=3.0)
-    p.add_argument("--steps", type=int, default=13)
+    p.add_argument("--steps", type=positive_int, default=13)
     p.add_argument("--rhos", type=finite_list, default="-0.95,-0.5,0,0.5,0.95")
     p.set_defaults(func=_cmd_identity11)
 
@@ -299,27 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_dash_values(argv: list[str]) -> list[str]:
-    """Fold `--rhos -0.9,...` into `--rhos=-0.9,...` so argparse does not
-    mistake a negative first value for an option."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--rhos" and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _join_dash_values(list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

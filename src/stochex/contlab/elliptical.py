@@ -105,6 +105,8 @@ def intraclass_model(
     generator: Optional[Generator] = None,
 ) -> EllipticalModel:
     """Centered elliptical model with constant-correlation scale matrix."""
+    if n < 2:
+        raise InvalidSpec(f"intraclass model needs n >= 2, got n = {n}")
     if not -1.0 / (n - 1) < rho < 1.0:
         raise InvalidSpec(f"intraclass rho must be in (-1/(n-1), 1), got {rho}")
     scale = tuple(

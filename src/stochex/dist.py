@@ -34,7 +34,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise InvalidRational(f"invalid rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidRational(f"zero denominator in rational literal: {text!r}") from None
 
 
 def _as_fraction(x: Fraction | int) -> Fraction:

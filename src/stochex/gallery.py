@@ -1,26 +1,11 @@
 """Catalog of the concrete distributions used throughout the package, keyed by
-stable string ids, each bundled with machine-checkable expectations.
+stable string ids (`head` or `head:args`), each with machine-checkable expectations.
 
-Discrete ids
-    sci-not-re                  two-point sign-symmetric counterexample
-    draws-2:A                   two draws without replacement from A (A = -A)
-    axes:n                      uniform on the 2n signed coordinate unit vectors
-    remark-asym                 the 4-point distribution with asymmetric
-                                leave-one-out maxima
-    alt-signs:n                 independent sequence with alternating sign copies
-    draws-n:A;n                 n draws without replacement from A (A = -A)
-    iid-sym:F,n                 n iid copies of a named symmetric marginal
-                                (F in {pm1, tri})
-    indep-sym-step              independent symmetric pair with |X| on {0,1}
-                                and |Y| on {0,1,2}
-
-Continuous ids
-    bvn:mu,rho                  bivariate normal, means (mu, -mu), unit variances
-    elliptical:gen,mu,nu,sigma,tau,rho
-                                bivariate elliptical (gen in {gauss, t5})
-    intraclass:n,rho            centered Gaussian with intraclass correlation
-    gauss-seq:case,n            sign-patterned Gaussian sequence (case 1 or 2)
-    mlr:family,theta1,theta2    independent scale-family pair (normal or cauchy)
+The families are declared once, in `_FAMILIES`: id head -> constructor and the
+sample id that `list_ids` shows.  A constructor returns the canonical id, the
+distribution, the description and the expectations.  An expectation is a tuple
+`(name, check, *args)`; `GalleryEntry.verify` runs `check(entry.dist, *args)`,
+one of the shared checks below, which returns `(pass, detail)`.
 """
 
 from __future__ import annotations
@@ -29,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import stochorder, symmetry
 from .contlab import (
@@ -50,21 +35,22 @@ from .dist import ExactJointDist, UnivariateDist, parse_rational
 from .errors import InvalidSpec, UnknownId
 from .extremes import abs_extreme_dist
 
-Expectation = tuple[str, Callable[[], tuple[bool, str]]]
-
 
 @dataclass
 class GalleryEntry:
     id: str
-    description: str
-    kind: str  # "discrete" or "continuous"
     dist: object
-    expectations: tuple[Expectation, ...]
+    description: str
+    expectations: tuple[tuple, ...]  # (name, check, *args)
+
+    @property
+    def kind(self) -> str:
+        return "discrete" if isinstance(self.dist, ExactJointDist) else "continuous"
 
     def verify(self) -> list[dict]:
         report = []
-        for name, fn in self.expectations:
-            ok, detail = fn()
+        for name, check, *args in self.expectations:
+            ok, detail = check(self.dist, *args)
             report.append({"expectation": name, "pass": ok, "detail": detail})
         return report
 
@@ -174,449 +160,203 @@ def indep_sym_step_dist() -> ExactJointDist:
 
 
 # ---------------------------------------------------------------------------
-# Expectation helpers
+# Checks: check(dist, *args) -> (pass, detail)
+
+_QUICK_MC = MCConfig(sample_count=20_000, seed=20260823, alpha=0.01)
+_VIOLATIONS = "{0[violations]} violations, max dev {0[max_deviation]:.2e}"
 
 
-def _verdict_holds(v: symmetry.SymmetryVerdict) -> tuple[bool, str]:
-    return v.holds, f"{v.condition.label()} holds={v.holds}"
+def _law(d: ExactJointDist, kind: str, coords: Sequence[int]) -> UnivariateDist:
+    """Law of |max| or |min| of the coordinates X_i, i in coords (1-based)."""
+    return abs_extreme_dist(d.marginal(coords), len(coords), kind)
 
 
-def _verdict_fails(v: symmetry.SymmetryVerdict) -> tuple[bool, str]:
-    return not v.holds, f"{v.condition.label()} holds={v.holds}"
+def _verdict(d, kind: str, want: bool, k=None, l=None) -> tuple[bool, str]:
+    """`symmetry.check(d, kind, k, l)` holds exactly when `want` is true."""
+    v = symmetry.check(d, kind, k, l)
+    return v.holds == want, f"{v.condition.label()} holds={v.holds}"
 
 
-def _labels(d: ExactJointDist, want: Callable[[str, str], bool]) -> tuple[bool, str]:
-    """Classify d once; pass when want(label_max, label_min) is true."""
-    c = stochorder.classify(d)
-    return want(c.label_max, c.label_min), f"labels {c.label_max}, {c.label_min}"
+def _prefix_verdicts(d, kind: str, want: bool, pairs, fail: str, ok: str) -> tuple[bool, str]:
+    """`_verdict` at (k, l) on the prefix X_1..X_l for each (k, l) in `pairs`; `fail`
+    is formatted with the first k, l whose verdict differs from `want`."""
+    for k, l in pairs:
+        if symmetry.check(d.marginal(range(1, l + 1)), kind, k, l).holds != want:
+            return False, fail.format(k=k, l=l)
+    return True, ok
 
 
-def _abs_dist_equals(u: UnivariateDist, expected: dict) -> tuple[bool, str]:
-    want = UnivariateDist.build(
-        [(Fraction(v), Fraction(p)) for v, p in expected.items()]
-    )
+def _abs_law(d, kind: str, coords, atoms: dict) -> tuple[bool, str]:
+    """The |max| or |min| law of coords has exactly the atoms {value: mass}."""
+    u = _law(d, kind, coords)
+    want = UnivariateDist.build([(Fraction(v), Fraction(p)) for v, p in atoms.items()])
     return u == want, f"got {u.to_jsonable()}"
 
 
-def _grid(lo: float, hi: float, steps: int) -> list[float]:
-    if steps == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+def _cdfs(d, kind: str, table: dict, ok: str) -> tuple[bool, str]:
+    """F(x) of the prefix law of length l equals table[(l, x)] for every key."""
+    for (l, x), want in table.items():
+        got = _law(d, kind, range(1, l + 1)).cdf(x)
+        if got != want:
+            return False, f"prefix {l}: cdf({x}) = {got}, expected {want}"
+    return True, ok
+
+
+def _relation(d, a: tuple, b: tuple, relation: str, detail: str) -> tuple[bool, str]:
+    """`st_compare` of the laws a and b, each (kind, coords), is `relation`."""
+    got = stochorder.st_compare(_law(d, *a), _law(d, *b)).relation
+    return got == relation, detail
+
+
+def _labels(d, *want: str) -> tuple[bool, str]:
+    """The |max| and |min| chain labels of `classify`; "*" accepts any starred label."""
+    c = stochorder.classify(d)
+    got = (c.label_max, c.label_min)
+    ok = all(g == w or (w == "*" and g.endswith("*")) for g, w in zip(got, want))
+    return ok, f"labels {c.label_max}, {c.label_min}"
+
+
+def _classified(strict: bool) -> tuple:
+    """Expect starred labels (the first step is an equality); `strict` adds the S of
+    a strictly increasing rest of the chain, which needs n >= 3."""
+    mx, mn = ("SSIAMX*", "SSIAMN*") if strict else ("SIAMX*", "SIAMN*")
+    return (f"classified {mx}/{mn}", _labels, mx, mn)
+
+
+def _density(model, steps: int, conditions, detail: str, k=1, l=2, on=None) -> tuple[bool, str]:
+    """`density_symmetry_grid` passes for each condition on [-3, 3]^dim (of `on` if given)."""
+    model = on or model
+    axes = [[-3.0 + 6.0 * i / (steps - 1) for i in range(steps)]] * model.dim
+    reports = [density_symmetry_grid(model, c, axes, k=k, l=l) for c in conditions]
+    return all(r["pass"] for r in reports), detail.format(*reports)
+
+
+def _mc_folded(model, mu: float) -> tuple[bool, str]:
+    """KS distance of sampled |max| from the folded normal of X within the DKW band."""
+    xy = sample_elliptical(model, _QUICK_MC)
+    dist = ks_distance(abs(xy.max(axis=1)), lambda x: folded_normal_cdf(x, mu))
+    band = dkw_band(_QUICK_MC.sample_count, _QUICK_MC.alpha)
+    return dist <= band, f"KS {dist:.5f} vs DKW band {band:.5f}"
+
+
+def _gauss_means(spec: GaussianSeqSpec, want: list[float]) -> tuple[bool, str]:
+    mu, _ = build_gaussian_seq(spec)
+    return list(mu) == want, f"means {list(mu)}"
+
+
+def _positive_definite(spec: GaussianSeqSpec) -> tuple[bool, str]:
+    """`build_gaussian_seq` raises NotPositiveDefinite otherwise."""
+    _, corr = build_gaussian_seq(spec)
+    return True, f"correlation matrix of order {len(corr)} accepted"
+
+
+def _mlr_chain(spec: dict) -> tuple[bool, str]:
+    r = verify_mlr_example(spec["theta1"], spec["theta2"], spec["family"], _QUICK_MC)
+    return r["pass"], f"grid violations {r['grid_violations']}"
 
 
 # ---------------------------------------------------------------------------
-# Catalog
+# Families: constructor(arg) -> (id, dist, description, expectations)
 
 
-def _entry_sci_not_re() -> GalleryEntry:
-    d = sci_counterexample()
-    return GalleryEntry(
-        "sci-not-re",
-        "SCI two-point distribution on (1,0)/(-1,0); SCI alone does not give RE",
-        "discrete",
-        d,
-        (
-            ("SCI holds", lambda: _verdict_holds(symmetry.check_basic(d, "SCI"))),
-            ("RE fails", lambda: _verdict_fails(symmetry.check_re_kl(d, 1, 2))),
-            (
-                "absmax is {0:1/2, 1:1/2}",
-                lambda: _abs_dist_equals(
-                    abs_extreme_dist(d, 2, "max"), {0: "1/2", 1: "1/2"}
-                ),
-            ),
-            (
-                "absX is degenerate at 1",
-                lambda: _abs_dist_equals(abs_extreme_dist(d, 1, "max"), {1: "1"}),
-            ),
-        ),
+def _sci_not_re(_):
+    desc = "SCI two-point distribution on (1,0)/(-1,0); SCI alone does not give RE"
+    return "sci-not-re", sci_counterexample(), desc, (
+        ("SCI holds", _verdict, "SCI", True),
+        ("RE fails", _verdict, "RE", False),
+        ("absmax is {0:1/2, 1:1/2}", _abs_law, "max", (1, 2), {0: "1/2", 1: "1/2"}),
+        ("absX is degenerate at 1", _abs_law, "max", (1,), {1: "1"}),
     )
 
 
-def _entry_draws2(values: tuple[Fraction, ...]) -> GalleryEntry:
-    d = draws_dist(values, 2)
-    size = len(values)
-    has_zero = Fraction(0) in values
-    expected_abs = {}
-    for v in values:
-        if v > 0:
-            expected_abs[v] = Fraction(2, size)
-    if has_zero:
-        expected_abs[Fraction(0)] = Fraction(1, size)
-    return GalleryEntry(
-        f"draws-2:{','.join(str(v) for v in values)}",
-        "two draws without replacement from a symmetric set: ERE but not ESCI",
-        "discrete",
-        d,
-        (
-            ("ERE holds", lambda: _verdict_holds(symmetry.check_basic(d, "ERE"))),
-            ("ESCI fails", lambda: _verdict_fails(symmetry.check_basic(d, "ESCI"))),
-            (
-                "abs marginal mass is 2/|A| (1/|A| at 0)",
-                lambda: _abs_dist_equals(
-                    abs_extreme_dist(d, 1, "max"),
-                    {str(k): str(v) for k, v in expected_abs.items()},
-                ),
-            ),
-            (
-                "absmax equals absX",
-                lambda: (
-                    abs_extreme_dist(d, 2, "max") == abs_extreme_dist(d, 1, "max"),
-                    "exact equality of |max| and |X| distributions",
-                ),
-            ),
-        ),
+def _draws2(arg):
+    values = tuple(parse_rational(v) for v in arg.split(","))
+    mass = {v: Fraction(2 if v else 1, len(values)) for v in values if v >= 0}
+    desc = "two draws without replacement from a symmetric set: ERE but not ESCI"
+    return f"draws-2:{','.join(str(v) for v in values)}", draws_dist(values, 2), desc, (
+        ("ERE holds", _verdict, "ERE", True),
+        ("ESCI fails", _verdict, "ESCI", False),
+        ("abs marginal mass is 2/|A| (1/|A| at 0)", _abs_law, "max", (1,), mass),
+        ("absmax equals absX", _relation, ("max", (1, 2)), ("max", (1,)), "equal",
+         "exact equality of |max| and |X| distributions"),
     )
 
 
-def _entry_axes(n: int) -> GalleryEntry:
-    d = axes_dist(n)
-
-    def chain_cdf_at_zero() -> tuple[bool, str]:
-        for l in range(1, n + 1):
-            got = abs_extreme_dist(d, l, "max").cdf(0)
-            want = 1 - Fraction(l, 2 * n) if l >= 2 else 1 - Fraction(1, n)
-            if got != want:
-                return False, f"prefix {l}: cdf(0) = {got}, expected {want}"
-        return True, "cdf at 0 matches 1 - l/(2n) for every prefix"
-
-    return GalleryEntry(
-        f"axes:{n}",
-        "uniform on signed coordinate unit vectors; ESCI with strictly growing |max|",
-        "discrete",
-        d,
-        (
-            ("ESCI holds", lambda: _verdict_holds(symmetry.check_basic(d, "ESCI"))),
-            ("cdf-at-0 chain", chain_cdf_at_zero),
-            (
-                "classified SSIAMX*/SSIAMN*",
-                lambda: _labels(d, lambda mx, mn: (mx, mn) == ("SSIAMX*", "SSIAMN*")),
-            ),
-        ),
+def _axes(arg):
+    n = int(arg)
+    at_zero = {(l, 0): 1 - Fraction(max(l, 2), 2 * n) for l in range(1, n + 1)}
+    desc = "uniform on signed coordinate unit vectors; ESCI with strictly growing |max|"
+    return f"axes:{n}", axes_dist(n), desc, (
+        ("ESCI holds", _verdict, "ESCI", True),
+        ("cdf-at-0 chain", _cdfs, "max", at_zero,
+         "cdf at 0 matches 1 - l/(2n) for every prefix"),
+        _classified(n >= 3),
     )
 
 
-def _entry_remark_asym() -> GalleryEntry:
-    d = remark_asym_dist()
-    return GalleryEntry(
-        "remark-asym",
-        "4-point distribution where the two leave-one-out |max| laws differ",
-        "discrete",
-        d,
-        (
-            ("RE(1,2) holds", lambda: _verdict_holds(symmetry.check_re_kl(d, 1, 2))),
-            (
-                "absmax(X1,X3) is {0:1/2, 1:1/2}",
-                lambda: _abs_dist_equals(
-                    abs_extreme_dist(d.marginal([1, 3]), 2, "max"),
-                    {0: "1/2", 1: "1/2"},
-                ),
-            ),
-            (
-                "absmax(X2,X3) is {0:1/4, 1:3/4}",
-                lambda: _abs_dist_equals(
-                    abs_extreme_dist(d.marginal([2, 3]), 2, "max"),
-                    {0: "1/4", 1: "3/4"},
-                ),
-            ),
-        ),
+def _remark_asym(_):
+    desc = "4-point distribution where the two leave-one-out |max| laws differ"
+    return "remark-asym", remark_asym_dist(), desc, (
+        ("RE(1,2) holds", _verdict, "RE", True, 1, 2),
+        ("absmax(X1,X3) is {0:1/2, 1:1/2}", _abs_law, "max", (1, 3), {0: "1/2", 1: "1/2"}),
+        ("absmax(X2,X3) is {0:1/4, 1:3/4}", _abs_law, "max", (2, 3), {0: "1/4", 1: "3/4"}),
     )
 
 
-def _entry_alt_signs(n: int) -> GalleryEntry:
-    d = alt_signs_dist(n)
-
-    def prefix_re() -> tuple[bool, str]:
-        for l in range(2, n + 1):
-            prefix = d.marginal(range(1, l + 1))
-            if not symmetry.check_re_kl(prefix, l - 1, l).holds:
-                return False, f"prefix {l} is not invariant under the (l-1,l) reversal"
-        return True, "every prefix reverses against its predecessor"
-
-    return GalleryEntry(
-        f"alt-signs:{n}",
-        "independent non-symmetric base with alternating sign copies",
-        "discrete",
-        d,
-        (
-            ("prefix reversals hold", prefix_re),
-            (
-                "starred classification",
-                lambda: _labels(d, lambda mx, mn: mx.endswith("*") and mn.endswith("*")),
-            ),
-        ),
+def _alt_signs(arg):
+    n = int(arg)
+    desc = "independent non-symmetric base with alternating sign copies"
+    return f"alt-signs:{n}", alt_signs_dist(n), desc, (
+        ("prefix reversals hold", _prefix_verdicts, "RE", True,
+         [(l - 1, l) for l in range(2, n + 1)],
+         "prefix {l} is not invariant under the (l-1,l) reversal",
+         "every prefix reverses against its predecessor"),
+        ("starred classification", _labels, "*", "*"),
     )
 
 
-def _entry_draws_n(values: tuple[Fraction, ...], n: int) -> GalleryEntry:
+def _draws_n(arg):
+    values_text, _, n_text = arg.partition(";")
+    values = tuple(parse_rational(v) for v in values_text.split(","))
+    n = int(n_text)
     d = draws_dist(values, n)
-    size = len(values)
+    expectations = (
+        ("URsub on all prefixes", _prefix_verdicts, "URsub", True,
+         [(1, l) for l in range(2, n + 1)],
+         "URsub(1,{l}) fails on prefix {l}", "URsub(1,l) holds on every prefix"),
+        ("RE fails for l >= 3", _prefix_verdicts, "RE", False,
+         [(k, l) for l in range(3, min(n, len(values) - 1) + 1) for k in range(1, l)],
+         "RE({k},{l}) unexpectedly holds on prefix {l}",
+         "no pair reversal holds for prefixes of length >= 3"),
+    )
+    if n < len(values):
+        expectations += (_classified(n >= 3),)
+    desc = "n draws without replacement from a symmetric set"
+    return f"draws-n:{','.join(str(v) for v in values)};{n}", d, desc, expectations
 
-    def ursub_all_prefixes() -> tuple[bool, str]:
-        for l in range(2, n + 1):
-            prefix = d.marginal(range(1, l + 1))
-            if not symmetry.check_sub_super_kl(prefix, 1, l, "URsub").holds:
-                return False, f"URsub(1,{l}) fails on prefix {l}"
-        return True, "URsub(1,l) holds on every prefix"
 
-    def re_fails_beyond_two() -> tuple[bool, str]:
-        for l in range(3, min(n, size - 1) + 1):
-            prefix = d.marginal(range(1, l + 1))
-            for k in range(1, l):
-                if symmetry.check_re_kl(prefix, k, l).holds:
-                    return False, f"RE({k},{l}) unexpectedly holds on prefix {l}"
-        return True, "no pair reversal holds for prefixes of length >= 3"
-
-    expectations = [
-        ("URsub on all prefixes", ursub_all_prefixes),
-        ("RE fails for l >= 3", re_fails_beyond_two),
-    ]
-    if n < size:
-        # The first step is an exact equality (the pair reverses), so the
-        # strict chain starts at l = 3 and the starred strict label applies.
-        expectations.append(
-            (
-                "classified SSIAMX*/SSIAMN*",
-                lambda: _labels(d, lambda mx, mn: (mx, mn) == ("SSIAMX*", "SSIAMN*")),
-            )
-        )
-    return GalleryEntry(
-        f"draws-n:{','.join(str(v) for v in values)};{n}",
-        "n draws without replacement from a symmetric set",
-        "discrete",
-        d,
-        tuple(expectations),
+def _iid_sym(arg):
+    name, n_text = arg.split(",")
+    n = int(n_text)
+    d = iid_sym_dist(name, n)
+    desc = "iid symmetric coordinates; strictness requires a non-degenerate |X|"
+    return f"iid-sym:{name},{n}", d, desc, (
+        ("ESCI holds", _verdict, "ESCI", True),
+        _classified(len(_NAMED_MARGINALS[name]) > 1 and n >= 3),
     )
 
 
-def _entry_iid_sym(marginal_name: str, n: int) -> GalleryEntry:
-    d = iid_sym_dist(marginal_name, n)
-    degenerate = len(_NAMED_MARGINALS[marginal_name]) == 1
-    want_max = "SIAMX*" if degenerate else "SSIAMX*"
-    want_min = "SIAMN*" if degenerate else "SSIAMN*"
-    return GalleryEntry(
-        f"iid-sym:{marginal_name},{n}",
-        "iid symmetric coordinates; strictness requires a non-degenerate |X|",
-        "discrete",
-        d,
-        (
-            ("ESCI holds", lambda: _verdict_holds(symmetry.check_basic(d, "ESCI"))),
-            (
-                f"classified {want_max}/{want_min}",
-                lambda: _labels(d, lambda mx, mn: (mx, mn) == (want_max, want_min)),
-            ),
-        ),
+def _indep_sym_step(_):
+    absmax = {0: Fraction(1, 2), 1: Fraction(7, 8), 2: Fraction(1)}
+    desc = "independent symmetric pair with stochastically ordered absolute marginals"
+    return "indep-sym-step", indep_sym_step_dist(), desc, (
+        ("absmax cdf is {0:1/2, 1:7/8, 2:1}", _cdfs, "max",
+         {(2, x): p for x, p in absmax.items()}, f"cdf table {absmax}"),
+        ("|min| equals |max|", _relation, ("min", (1, 2)), ("max", (1, 2)), "equal",
+         "exact equality"),
+        ("|X| strictly below |max|", _relation, ("max", (1,)), ("max", (1, 2)), "strictly_less",
+         "strict first-order dominance"),
     )
-
-
-def _entry_indep_sym_step() -> GalleryEntry:
-    d = indep_sym_step_dist()
-
-    def absmax_cdf() -> tuple[bool, str]:
-        u = abs_extreme_dist(d, 2, "max")
-        want = {0: Fraction(1, 2), 1: Fraction(7, 8), 2: Fraction(1)}
-        got = {int(x): u.cdf(x) for x in (0, 1, 2)}
-        return got == want, f"cdf table {got}"
-
-    return GalleryEntry(
-        "indep-sym-step",
-        "independent symmetric pair with stochastically ordered absolute marginals",
-        "discrete",
-        d,
-        (
-            ("absmax cdf is {0:1/2, 1:7/8, 2:1}", absmax_cdf),
-            (
-                "|min| equals |max|",
-                lambda: (
-                    abs_extreme_dist(d, 2, "min") == abs_extreme_dist(d, 2, "max"),
-                    "exact equality",
-                ),
-            ),
-            (
-                "|X| strictly below |max|",
-                lambda: (
-                    stochorder.st_compare(
-                        abs_extreme_dist(d, 1, "max"), abs_extreme_dist(d, 2, "max")
-                    ).relation
-                    == "strictly_less",
-                    "strict first-order dominance",
-                ),
-            ),
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Continuous entries
-
-_QUICK_MC = MCConfig(sample_count=20_000, seed=20260823, alpha=0.01)
-
-
-def _entry_bvn(mu: float, rho: float) -> GalleryEntry:
-    model = bivariate_elliptical(mu, -mu, 1.0, 1.0, rho)
-    axes2 = [_grid(-3.0, 3.0, 13)] * 2
-
-    def re_density_grid() -> tuple[bool, str]:
-        r = density_symmetry_grid(model, "URE", axes2)
-        r2 = density_symmetry_grid(model, "LRE", axes2)
-        ok = r["pass"] and r2["pass"]
-        return ok, f"max deviations {r['max_deviation']:.2e}, {r2['max_deviation']:.2e}"
-
-    def mc_folded() -> tuple[bool, str]:
-        xy = sample_elliptical(model, _QUICK_MC)
-        abs_max = abs(xy.max(axis=1))
-        dist = ks_distance(abs_max, lambda x: folded_normal_cdf(x, mu))
-        band = dkw_band(_QUICK_MC.sample_count, _QUICK_MC.alpha)
-        return dist <= band, f"KS {dist:.5f} vs DKW band {band:.5f}"
-
-    return GalleryEntry(
-        f"bvn:{mu},{rho}",
-        "bivariate normal with opposite means; |max| matches the folded normal of X",
-        "continuous",
-        model,
-        (
-            ("density reflection equality on grid", re_density_grid),
-            ("MC |max| vs folded-normal cdf", mc_folded),
-        ),
-    )
-
-
-def _entry_elliptical(
-    gen_name: str, mu: float, nu: float, sigma: float, tau: float, rho: float
-) -> GalleryEntry:
-    if gen_name == "gauss":
-        gen = None
-    elif gen_name.startswith("t"):
-        gen = StudentTGenerator(float(gen_name[1:]))
-    else:
-        raise UnknownId(f"unknown generator {gen_name!r}")
-    model = bivariate_elliptical(mu, nu, sigma, tau, rho, gen)
-    axes2 = [_grid(-3.0, 3.0, 21)] * 2
-
-    def grid_check(condition: str):
-        def run() -> tuple[bool, str]:
-            r = density_symmetry_grid(model, condition, axes2)
-            return r["pass"], f"{r['violations']} violations, max dev {r['max_deviation']:.2e}"
-
-        return run
-
-    expectations: list[Expectation] = []
-    if sigma == tau:
-        if mu + nu > 0:
-            expectations += [
-                ("URsub on grid", grid_check("URsub")),
-                ("LRsub on grid", grid_check("LRsub")),
-            ]
-        elif mu + nu < 0:
-            expectations += [
-                ("URsup on grid", grid_check("URsup")),
-                ("LRsup on grid", grid_check("LRsup")),
-            ]
-        else:
-            expectations += [
-                ("URE equality on grid", grid_check("URE")),
-                ("LRE equality on grid", grid_check("LRE")),
-            ]
-    if mu == nu == 0 and sigma != tau:
-        if tau > sigma:
-            expectations += [
-                ("URsub on grid", grid_check("URsub")),
-                ("LRsup on grid", grid_check("LRsup")),
-            ]
-        else:
-            expectations += [
-                ("URsup on grid", grid_check("URsup")),
-                ("LRsub on grid", grid_check("LRsub")),
-            ]
-    if not expectations:
-        raise InvalidSpec(
-            "elliptical entry needs equal scales or a centered location"
-        )
-    return GalleryEntry(
-        f"elliptical:{gen_name},{mu},{nu},{sigma},{tau},{rho}",
-        "bivariate elliptical model with the density inequalities its parameters imply",
-        "continuous",
-        model,
-        tuple(expectations),
-    )
-
-
-def _entry_intraclass(n: int, rho: float) -> GalleryEntry:
-    model = intraclass_model(n, rho)
-    axes_n = [_grid(-3.0, 3.0, 11)] * n
-
-    def signed_grid() -> tuple[bool, str]:
-        condition = "URsub" if rho < 0 else "LRsup"
-        r = density_symmetry_grid(model, condition, axes_n, k=1, l=n)
-        return r["pass"], (
-            f"{condition}(1,{n}): {r['violations']} violations, "
-            f"max dev {r['max_deviation']:.2e}"
-        )
-
-    def bivariate_re() -> tuple[bool, str]:
-        sub = intraclass_model(2, rho)
-        r = density_symmetry_grid(sub, "URE", [_grid(-3.0, 3.0, 13)] * 2)
-        return r["pass"], f"max dev {r['max_deviation']:.2e}"
-
-    expectations: list[Expectation] = [("pair marginal reflects exactly", bivariate_re)]
-    if rho != 0:
-        expectations.insert(0, ("signed one-sided density inequality", signed_grid))
-    return GalleryEntry(
-        f"intraclass:{n},{rho}",
-        "centered Gaussian with intraclass correlation",
-        "continuous",
-        model,
-        tuple(expectations),
-    )
-
-
-def _entry_gauss_seq(case: int, n: int) -> GalleryEntry:
-    case_name = {1: "anchor-first", 2: "alternating"}.get(case)
-    if case_name is None:
-        raise UnknownId(f"gauss-seq case must be 1 or 2, got {case}")
-    spec = GaussianSeqSpec(n=n, mu=1.0, case=case_name, rho_params=(0.1,) * (n - 1))
-
-    def mean_pattern() -> tuple[bool, str]:
-        mu, _ = build_gaussian_seq(spec)
-        if case == 1:
-            want = [1.0] + [-1.0] * (n - 1)
-        else:
-            want = [(-1.0) ** i for i in range(n)]
-        return list(mu) == want, f"means {list(mu)}"
-
-    def positive_definite() -> tuple[bool, str]:
-        _, corr = build_gaussian_seq(spec)
-        return True, f"correlation matrix of order {len(corr)} accepted"
-
-    return GalleryEntry(
-        f"gauss-seq:{case},{n}",
-        "Gaussian sequence with sign-copied means and correlations",
-        "continuous",
-        spec,
-        (
-            ("mean sign pattern", mean_pattern),
-            ("correlation matrix positive definite", positive_definite),
-        ),
-    )
-
-
-def _entry_mlr(family: str, theta1: float, theta2: float) -> GalleryEntry:
-    spec = {"family": family, "theta1": theta1, "theta2": theta2}
-
-    def chain() -> tuple[bool, str]:
-        r = verify_mlr_example(theta1, theta2, family, _QUICK_MC)
-        return r["pass"], f"grid violations {r['grid_violations']}"
-
-    return GalleryEntry(
-        f"mlr:{family},{theta1},{theta2}",
-        "independent symmetric scale pair with monotone likelihood ratio",
-        "continuous",
-        spec,
-        (("ordering chain and density inequality", chain),),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Id parsing
 
 
 def _parse_floats(text: str, count: int, what: str) -> list[float]:
@@ -626,69 +366,113 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
     return [float(p) for p in parts]
 
 
+def _bvn(arg):
+    mu, rho = _parse_floats(arg, 2, "bvn")
+    desc = "bivariate normal with opposite means; |max| matches the folded normal of X"
+    return f"bvn:{mu},{rho}", bivariate_elliptical(mu, -mu, 1.0, 1.0, rho), desc, (
+        ("density reflection equality on grid", _density, 13, ("URE", "LRE"),
+         "max deviations {0[max_deviation]:.2e}, {1[max_deviation]:.2e}"),
+        ("MC |max| vs folded-normal cdf", _mc_folded, mu),
+    )
+
+
+def _elliptical(arg):
+    gen_name, rest = arg.split(",", 1)
+    mu, nu, sigma, tau, rho = _parse_floats(rest, 5, "elliptical")
+    if gen_name == "gauss":
+        gen = None
+    elif gen_name.startswith("t"):
+        gen = StudentTGenerator(float(gen_name[1:]))
+    else:
+        raise UnknownId(f"unknown generator {gen_name!r}")
+    model = bivariate_elliptical(mu, nu, sigma, tau, rho, gen)
+    if sigma == tau:
+        side = "sub" if mu + nu > 0 else "sup" if mu + nu < 0 else "E"
+        conditions = (f"UR{side}", f"LR{side}")
+    elif mu == nu == 0:
+        conditions = ("URsub", "LRsup") if tau > sigma else ("URsup", "LRsub")
+    else:
+        raise InvalidSpec("elliptical entry needs equal scales or a centered location")
+    desc = "bivariate elliptical model with the density inequalities its parameters imply"
+    return f"elliptical:{gen_name},{mu},{nu},{sigma},{tau},{rho}", model, desc, tuple(
+        (f"{c} equality on grid" if c.endswith("RE") else f"{c} on grid",
+         _density, 21, (c,), _VIOLATIONS)
+        for c in conditions
+    )
+
+
+def _intraclass(arg):
+    n_text, rho_text = arg.split(",")
+    n, rho = int(n_text), float(rho_text)
+    model = intraclass_model(n, rho)
+    c = "URsub" if rho < 0 else "LRsup"
+    signed = ("signed one-sided density inequality", _density, 11, (c,),
+              f"{c}(1,{n}): " + _VIOLATIONS, 1, n)
+    pair = ("pair marginal reflects exactly", _density, 13, ("URE",),
+            "max dev {0[max_deviation]:.2e}", 1, 2, intraclass_model(2, rho))
+    desc = "centered Gaussian with intraclass correlation"
+    return f"intraclass:{n},{rho}", model, desc, (signed, pair) if rho != 0 else (pair,)
+
+
+def _gauss_seq(arg):
+    case_text, n_text = arg.split(",")
+    case, n = int(case_text), int(n_text)
+    case_name = {1: "anchor-first", 2: "alternating"}.get(case)
+    if case_name is None:
+        raise UnknownId(f"gauss-seq case must be 1 or 2, got {case}")
+    spec = GaussianSeqSpec(n=n, mu=1.0, case=case_name, rho_params=(0.1,) * (n - 1))
+    means = [1.0] + [-1.0] * (n - 1) if case == 1 else [(-1.0) ** i for i in range(n)]
+    desc = "Gaussian sequence with sign-copied means and correlations"
+    return f"gauss-seq:{case},{n}", spec, desc, (
+        ("mean sign pattern", _gauss_means, means),
+        ("correlation matrix positive definite", _positive_definite),
+    )
+
+
+def _mlr(arg):
+    family, t1, t2 = arg.split(",")
+    spec = {"family": family, "theta1": float(t1), "theta2": float(t2)}
+    desc = "independent symmetric scale pair with monotone likelihood ratio"
+    return f"mlr:{family},{spec['theta1']},{spec['theta2']}", spec, desc, (
+        ("ordering chain and density inequality", _mlr_chain),
+    )
+
+
+# head -> (constructor, sample id shown by list_ids), with the id syntax;
+# heads without arguments are their own sample id.
+_FAMILIES = {
+    "sci-not-re": (_sci_not_re, "sci-not-re"),
+    "draws-2": (_draws2, "draws-2:-1,1"),  # draws-2:A, rationals with A = -A
+    "axes": (_axes, "axes:3"),  # axes:n
+    "remark-asym": (_remark_asym, "remark-asym"),
+    "alt-signs": (_alt_signs, "alt-signs:4"),  # alt-signs:n
+    "draws-n": (_draws_n, "draws-n:-2,-1,1,2;3"),  # draws-n:A;n
+    "iid-sym": (_iid_sym, "iid-sym:tri,3"),  # iid-sym:F,n with F in pm1, tri
+    "indep-sym-step": (_indep_sym_step, "indep-sym-step"),
+    "bvn": (_bvn, "bvn:1.5,0.3"),  # bvn:mu,rho
+    "elliptical": (  # elliptical:gen,mu,nu,sigma,tau,rho with gen gauss or t<nu>
+        _elliptical, "elliptical:gauss,1,0.5,1,1,0.3"),
+    "intraclass": (_intraclass, "intraclass:3,-0.3"),  # intraclass:n,rho
+    "gauss-seq": (_gauss_seq, "gauss-seq:1,4"),  # gauss-seq:case,n with case 1 or 2
+    "mlr": (_mlr, "mlr:normal,1,2"),  # mlr:family,theta1,theta2, normal or cauchy
+}
+
+
 def gallery(entry_id: str) -> GalleryEntry:
     """Build the catalog entry for `entry_id`; raises UnknownId otherwise."""
-    head, _, arg = entry_id.partition(":")
+    head, colon, arg = entry_id.partition(":")
+    build, sample = _FAMILIES.get(head, (None, head))
+    if build is None or (colon and sample == head):
+        raise UnknownId(f"unknown gallery id {entry_id!r}")
     try:
-        if entry_id == "sci-not-re":
-            return _entry_sci_not_re()
-        if entry_id == "remark-asym":
-            return _entry_remark_asym()
-        if entry_id == "indep-sym-step":
-            return _entry_indep_sym_step()
-        if head == "axes":
-            return _entry_axes(int(arg))
-        if head == "draws-2":
-            return _entry_draws2(tuple(parse_rational(v) for v in arg.split(",")))
-        if head == "draws-n":
-            values_text, _, n_text = arg.partition(";")
-            values = tuple(parse_rational(v) for v in values_text.split(","))
-            return _entry_draws_n(values, int(n_text))
-        if head == "alt-signs":
-            return _entry_alt_signs(int(arg))
-        if head == "iid-sym":
-            name, n_text = arg.split(",")
-            return _entry_iid_sym(name, int(n_text))
-        if head == "bvn":
-            mu, rho = _parse_floats(arg, 2, "bvn")
-            return _entry_bvn(mu, rho)
-        if head == "elliptical":
-            gen, rest = arg.split(",", 1)
-            mu, nu, sigma, tau, rho = _parse_floats(rest, 5, "elliptical")
-            return _entry_elliptical(gen, mu, nu, sigma, tau, rho)
-        if head == "intraclass":
-            n_text, rho_text = arg.split(",")
-            return _entry_intraclass(int(n_text), float(rho_text))
-        if head == "gauss-seq":
-            case_text, n_text = arg.split(",")
-            return _entry_gauss_seq(int(case_text), int(n_text))
-        if head == "mlr":
-            family, t1, t2 = arg.split(",")
-            return _entry_mlr(family, float(t1), float(t2))
-    except UnknownId:
-        raise
+        return GalleryEntry(*build(arg))
     except (ValueError, InvalidSpec) as exc:
         raise UnknownId(f"cannot parse gallery id {entry_id!r}: {exc}") from exc
-    raise UnknownId(f"unknown gallery id {entry_id!r}")
 
 
 def list_ids() -> list[dict]:
     """One line per id family, with a representative instantiation."""
-    samples = [
-        "sci-not-re",
-        "draws-2:-1,1",
-        "axes:3",
-        "remark-asym",
-        "alt-signs:4",
-        "draws-n:-2,-1,1,2;3",
-        "iid-sym:tri,3",
-        "indep-sym-step",
-        "bvn:1.5,0.3",
-        "elliptical:gauss,1,0.5,1,1,0.3",
-        "intraclass:3,-0.3",
-        "gauss-seq:1,4",
-        "mlr:normal,1,2",
-    ]
     return [
-        {"id": sid, "description": gallery(sid).description} for sid in samples
+        {"id": sample, "description": gallery(sample).description}
+        for _, sample in _FAMILIES.values()
     ]

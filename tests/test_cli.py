@@ -140,6 +140,16 @@ class TestNumericSubcommands:
         report = json.loads(out)
         assert report["pass"] and report["max_deviation"] <= 1e-10
 
+    @pytest.mark.parametrize("argv", [
+        ["phi2", "1", "-1e-3", "0.5"],
+        ["phi2", "-.5", "-1E2", "-0.25"],
+        ["identity11", "--steps", "5", "--rhos", "-1e-1,0.5"],
+    ])
+    def test_negative_values_in_exponent_form(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK
+        json.loads(out)
+
     def test_mc_folded_normal_check(self, capsys):
         code, out = run(capsys, "mc", "bvn:1.5,0.3", "--check", "absmax-absx-ks",
                         "--n", "20000", "--seed", "4")
@@ -230,6 +240,21 @@ class TestInputErrorsExit2:
     def test_axes_needs_positive_n(self, capsys):
         self.assert_input_error(capsys, "absdist", "gallery://axes:0", "--prefix", "1")
 
+    @pytest.mark.parametrize("coordinate,prob", [("1/0", "1"), ("1", "1/0")])
+    def test_zero_denominator_in_distribution_json(self, capsys, tmp_path, coordinate, prob):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dim": 1, "atoms": [{{"x": ["{coordinate}"], "p": "{prob}"}}]}}')
+        self.assert_input_error(capsys, "check", str(path), "--condition", "sci")
+        self.assert_input_error(capsys, "absdist", str(path), "--prefix", "1")
+
+    @pytest.mark.parametrize("argv", [
+        ["regions", "gallery://axes:2", "--x", "1/0"],
+        ["gallery", "draws-2:-1/0,1/0"],
+        ["gallery", "intraclass:1,0.5"],
+    ])
+    def test_zero_denominator_and_one_coordinate_intraclass(self, capsys, argv):
+        self.assert_input_error(capsys, *argv)
+
     @pytest.mark.parametrize("argv", [
         ["mc", "mlr:normal,1"],
         ["mc", "gauss-seq:1,4", "--n", "1000"],
@@ -238,6 +263,9 @@ class TestInputErrorsExit2:
         ["phi2", "inf", "0", "0.5"],
         ["identity11", "--xmax", "-1"],
         ["identity11", "--rhos", "x"],
+        ["mc", "intraclass:1,0.5", "--n", "1000"],
+        ["identity11", "--steps", "0"],
+        ["identity11", "--steps", "-3"],
     ])
     def test_numeric_command_inputs(self, capsys, argv):
         self.assert_input_error(capsys, *argv)

@@ -16,9 +16,13 @@ from stochex.gallery import (
 )
 
 EXTRA_IDS = [
+    "axes:2",
     "axes:4",
     "axes:6",
+    "iid-sym:tri,2",
+    "draws-n:-2,-1,1,2;2",
     "draws-2:-2,-1,1,2",
+    "draws-2:-1,0,1",
     "draws-n:-3,-2,-1,1,2,3;4",
     "iid-sym:pm1,3",
     "alt-signs:3",
@@ -90,7 +94,7 @@ class TestIdParsing:
         "bad",
         ["", "nope", "axes:x", "bvn:1", "elliptical:gauss,1,2", "mlr:normal,1",
          "gauss-seq:3,4", "elliptical:weird,0,0,1,1,0", "intraclass:3,2.0",
-         "elliptical:gauss,1,-1,1,2,0"],
+         "elliptical:gauss,1,-1,1,2,0", "sci-not-re:1"],
     )
     def test_unknown_or_malformed_ids(self, bad):
         with pytest.raises(UnknownId):
@@ -104,3 +108,60 @@ class TestIdParsing:
             "draws-n", "iid-sym", "indep-sym-step", "bvn", "elliptical",
             "intraclass", "gauss-seq", "mlr",
         }
+
+
+# The report of every discrete listed id: (id, [(expectation, pass, detail), ...]).
+PINNED_REPORTS = {
+    "sci-not-re": ("sci-not-re", [
+        ("SCI holds", True, "SCI holds=True"),
+        ("RE fails", True, "RE(1,2) holds=False"),
+        ("absmax is {0:1/2, 1:1/2}", True,
+         "got {'atoms': [{'v': '0', 'p': '1/2'}, {'v': '1', 'p': '1/2'}]}"),
+        ("absX is degenerate at 1", True, "got {'atoms': [{'v': '1', 'p': '1'}]}"),
+    ]),
+    "draws-2:-1,1": ("draws-2:-1,1", [
+        ("ERE holds", True, "ERE holds=True"),
+        ("ESCI fails", True, "ESCI holds=False"),
+        ("abs marginal mass is 2/|A| (1/|A| at 0)", True, "got {'atoms': [{'v': '1', 'p': '1'}]}"),
+        ("absmax equals absX", True, "exact equality of |max| and |X| distributions"),
+    ]),
+    "axes:3": ("axes:3", [
+        ("ESCI holds", True, "ESCI holds=True"),
+        ("cdf-at-0 chain", True, "cdf at 0 matches 1 - l/(2n) for every prefix"),
+        ("classified SSIAMX*/SSIAMN*", True, "labels SSIAMX*, SSIAMN*"),
+    ]),
+    "remark-asym": ("remark-asym", [
+        ("RE(1,2) holds", True, "RE(1,2) holds=True"),
+        ("absmax(X1,X3) is {0:1/2, 1:1/2}", True,
+         "got {'atoms': [{'v': '0', 'p': '1/2'}, {'v': '1', 'p': '1/2'}]}"),
+        ("absmax(X2,X3) is {0:1/4, 1:3/4}", True,
+         "got {'atoms': [{'v': '0', 'p': '1/4'}, {'v': '1', 'p': '3/4'}]}"),
+    ]),
+    "alt-signs:4": ("alt-signs:4", [
+        ("prefix reversals hold", True, "every prefix reverses against its predecessor"),
+        ("starred classification", True, "labels SIAMX*, SIAMN*"),
+    ]),
+    "draws-n:-2,-1,1,2;3": ("draws-n:-2,-1,1,2;3", [
+        ("URsub on all prefixes", True, "URsub(1,l) holds on every prefix"),
+        ("RE fails for l >= 3", True, "no pair reversal holds for prefixes of length >= 3"),
+        ("classified SSIAMX*/SSIAMN*", True, "labels SSIAMX*, SSIAMN*"),
+    ]),
+    "iid-sym:tri,3": ("iid-sym:tri,3", [
+        ("ESCI holds", True, "ESCI holds=True"),
+        ("classified SSIAMX*/SSIAMN*", True, "labels SSIAMX*, SSIAMN*"),
+    ]),
+    "indep-sym-step": ("indep-sym-step", [
+        ("absmax cdf is {0:1/2, 1:7/8, 2:1}", True,
+         "cdf table {0: Fraction(1, 2), 1: Fraction(7, 8), 2: Fraction(1, 1)}"),
+        ("|min| equals |max|", True, "exact equality"),
+        ("|X| strictly below |max|", True, "strict first-order dominance"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("entry_id", [row["id"] for row in list_ids()])
+def test_discrete_reports_are_pinned(entry_id):
+    entry = gallery(entry_id)
+    if entry.kind == "discrete":
+        rows = [(r["expectation"], r["pass"], r["detail"]) for r in entry.verify()]
+        assert (entry.id, rows) == PINNED_REPORTS[entry_id]
