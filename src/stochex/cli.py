@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -31,7 +30,7 @@ from .contlab import (
 )
 from .dist import ExactJointDist, parse_rational
 from .errors import InvalidSpec, StochexError, UnknownId
-from .gallery import gallery, list_ids
+from .gallery import finite, gallery, list_ids
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -205,14 +204,8 @@ def _cmd_mc(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
-# Argument types: argparse reports their ValueError as "invalid <name> value".
-def finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
+# Argument types (and `finite`): argparse reports their ValueError as
+# "invalid <name> value".
 def nonnegative(text: str) -> float:
     value = finite(text)
     if value < 0:
@@ -236,9 +229,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n{self.format_usage()}")
 
     def _parse_optional(self, arg_string):
-        # "-" followed by a digit or "." is always a value (no option starts so);
-        # argparse's own negative-number pattern misses forms such as -1e-3.
-        if re.match(r"-[\d.]", arg_string):
+        # "-" then a digit or ".", and -inf, -infinity or -nan in any case, are values
+        # (no option is spelt so): argparse misses -1e-3, and `finite` rejects -inf.
+        if re.match(r"-([\d.]|(inf|infinity|nan)$)", arg_string, re.IGNORECASE):
             return None
         return super()._parse_optional(arg_string)
 

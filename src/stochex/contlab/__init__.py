@@ -1,5 +1,6 @@
 """Numeric lab for the continuous families: normal cdfs, elliptical densities,
-sign-patterned Gaussian sequences, seeded sampling, and MC dominance checks."""
+sign-patterned Gaussian sequences, seeded sampling, and MC dominance checks;
+densities, grid checks and the folded-normal cdf work on arrays, `phi2` on floats."""
 
 from .elliptical import (
     EllipticalModel,

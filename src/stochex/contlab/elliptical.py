@@ -1,4 +1,8 @@
-"""Elliptical density models, sign-patterned Gaussian sequences, and grid checks."""
+"""Elliptical density models, sign-patterned Gaussian sequences, and grid checks.
+
+Densities take one point or an (N, dim) array of points, and a grid check is
+two density calls over the grid rows inside the condition's region.
+"""
 
 from __future__ import annotations
 
@@ -13,16 +17,15 @@ from ..dist import SignedPermutation
 from ..symmetry import in_region
 
 PD_EIGENVALUE_TOL = 1e-10
+GRID_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
 class GaussianGenerator:
     """Radial function g(t) = (2 pi)^(-d/2) exp(-t/2)."""
 
-    name: str = "gaussian"
-
-    def radial(self, t: float, dim: int) -> float:
-        return (2.0 * math.pi) ** (-dim / 2.0) * math.exp(-t / 2.0)
+    def radial(self, t: np.ndarray, dim: int) -> np.ndarray:
+        return (2.0 * math.pi) ** (-dim / 2.0) * np.exp(-t / 2.0)
 
 
 @dataclass(frozen=True)
@@ -30,18 +33,15 @@ class StudentTGenerator:
     """Radial function of the multivariate Student-t with nu degrees of freedom."""
 
     nu: float = 5.0
-    name: str = "student-t"
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise InvalidSpec(f"Student-t needs nu > 0, got {self.nu}")
+        if not 0 < self.nu < math.inf:
+            raise InvalidSpec(f"Student-t needs a finite nu > 0, got {self.nu}")
 
-    def radial(self, t: float, dim: int) -> float:
-        nu, d = self.nu, dim
-        c = math.gamma((nu + d) / 2.0) / (
-            math.gamma(nu / 2.0) * (nu * math.pi) ** (d / 2.0)
-        )
-        return c * (1.0 + t / nu) ** (-(nu + d) / 2.0)
+    def radial(self, t: np.ndarray, dim: int) -> np.ndarray:
+        nu = self.nu
+        c = math.gamma((nu + dim) / 2.0) / (math.gamma(nu / 2.0) * (nu * math.pi) ** (dim / 2.0))
+        return c * (1.0 + t / nu) ** (-(nu + dim) / 2.0)
 
 
 Generator = GaussianGenerator | StudentTGenerator
@@ -74,11 +74,15 @@ class EllipticalModel:
     def sigma(self) -> np.ndarray:
         return np.asarray(self.scale, dtype=float)
 
-    def density(self, point: Sequence[float]) -> float:
+    def density(self, points) -> float | np.ndarray:
+        """The density at one point (a float) or at each row of an (N, dim) array;
+        Sigma is factorised once for all rows."""
         sigma = self.sigma()
-        delta = np.asarray(point, dtype=float) - np.asarray(self.mean)
-        t = float(delta @ np.linalg.solve(sigma, delta))
-        return float(np.linalg.det(sigma)) ** -0.5 * self.generator.radial(t, self.dim)
+        delta = np.asarray(points, dtype=float) - np.asarray(self.mean)
+        rows = np.atleast_2d(delta)
+        t = np.einsum("ij,ji->i", rows, np.linalg.solve(sigma, rows.T))
+        f = float(np.linalg.det(sigma)) ** -0.5 * self.generator.radial(t, self.dim)
+        return f if delta.ndim > 1 else float(f[0])
 
 
 def bivariate_elliptical(
@@ -91,10 +95,10 @@ def bivariate_elliptical(
 ) -> EllipticalModel:
     """Bivariate elliptical model with location (mu, nu), scales (sigma, tau),
     and correlation parameter rho."""
-    scale = (
-        (sigma * sigma, rho * sigma * tau),
-        (rho * sigma * tau, tau * tau),
-    )
+    if not (sigma > 0 and tau > 0):
+        raise InvalidSpec(f"scales must be positive, got sigma = {sigma}, tau = {tau}")
+    cov = rho * sigma * tau
+    scale = ((sigma * sigma, cov), (cov, tau * tau))
     return EllipticalModel((mu, nu), scale, generator or GaussianGenerator())
 
 
@@ -109,9 +113,7 @@ def intraclass_model(
         raise InvalidSpec(f"intraclass model needs n >= 2, got n = {n}")
     if not -1.0 / (n - 1) < rho < 1.0:
         raise InvalidSpec(f"intraclass rho must be in (-1/(n-1), 1), got {rho}")
-    scale = tuple(
-        tuple(sigma2 if i == j else sigma2 * rho for j in range(n)) for i in range(n)
-    )
+    scale = tuple(tuple(sigma2 if i == j else sigma2 * rho for j in range(n)) for i in range(n))
     return EllipticalModel((0.0,) * n, scale, generator or GaussianGenerator())
 
 
@@ -121,7 +123,6 @@ def density_symmetry_grid(
     grid_axes: Sequence[Sequence[float]],
     k: int = 1,
     l: int = 2,
-    tolerance: float = 1e-12,
 ) -> dict:
     """Count grid violations of the pointwise density (in)equality named by
     `condition` over the cartesian product of `grid_axes`.
@@ -130,87 +131,62 @@ def density_symmetry_grid(
     x_k < x_l (URE) or x_k > x_l (LRE); URsub/LRsub demand
     f(x) >= f(reflected x) on the condition's open region, URsup/LRsup the
     reversed inequality.  The regions are those of `symmetry.in_region`, which
-    also rejects an unknown condition.
+    also rejects an unknown condition.  A point whose deviation is not within
+    GRID_TOLERANCE (NaN included) is a violation.
     """
     axes = [list(ax) for ax in grid_axes]
     if not axes or any(len(ax) == 0 for ax in axes):
         raise EmptyGrid("grid must be a nonempty product of nonempty axes")
     if len(axes) != model.dim:
         raise InvalidSpec(f"grid has {len(axes)} axes, model has dim {model.dim}")
-    reflect = SignedPermutation.reverse_pair(model.dim, k, l).apply
+    reflect = SignedPermutation.reverse_pair(model.dim, k, l)
 
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    violations = 0
-    checked = 0
-    worst = 0.0
-    for row in points:
-        pt = tuple(float(c) for c in row)
-        if not in_region(pt, k, l, condition):
-            continue
-        checked += 1
-        f = model.density(pt)
-        g = model.density(reflect(pt))
-        if condition in ("URE", "LRE"):
-            dev = abs(f - g)
-        elif condition.endswith("sub"):
-            dev = g - f
-        else:
-            dev = f - g
-        if dev > tolerance:
-            violations += 1
-        worst = max(worst, dev)
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    points = points[[in_region(pt, k, l, condition) for pt in points.tolist()]]
+    f = model.density(points)
+    g = model.density(points[:, reflect.perm] * reflect.signs)
+    dev = g - f if condition.endswith("sub") else f - g
+    if condition in ("URE", "LRE"):
+        dev = np.abs(dev)
+    violations = int(np.count_nonzero(~(dev <= GRID_TOLERANCE)))
     return {
         "check": f"density-{condition}({k},{l})",
-        "points_in_region": checked,
+        "points_in_region": len(points),
         "violations": violations,
-        "max_deviation": worst,
-        "tolerance": tolerance,
+        "max_deviation": float(np.max(dev, initial=0.0)),
+        "tolerance": GRID_TOLERANCE,
         "pass": violations == 0,
     }
 
 
 @dataclass(frozen=True)
 class GaussianSeqSpec:
-    """Gaussian sequence whose mean and correlation sign pattern makes every
-    length-n prefix invariant under some pair reversal.
+    """Gaussian sequence X_1..X_n whose mean and correlation sign pattern makes
+    every prefix invariant under some pair reversal.
 
-    case "anchor-first" pins each new coordinate against the first one;
-    case "alternating" pins it against the previous one.  An explicit k-map
-    (index n -> anchor k(n) < n, 1-based, for n = 2..n) is also accepted.
+    anchors[m - 2] is the anchor k(m) < m (1-based) that coordinate m copies
+    with its signs flipped, for m = 2..n, so n = len(anchors) + 1; anchors
+    (1, 1, ...) pin each coordinate against the first, (1, 2, ...) against the
+    previous one.  rho_params[m - 2] is the free correlation rho_{m,k(m)}.
     """
 
-    n: int
     mu: float
-    case: str = "anchor-first"
-    rho_params: tuple[float, ...] = ()
-    k_map: Optional[tuple[int, ...]] = None
+    anchors: tuple[int, ...]
+    rho_params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.n < 2:
+        if not self.anchors:
             raise InvalidSpec("need n >= 2")
-        if self.case not in ("anchor-first", "alternating", "explicit"):
-            raise InvalidSpec(f"unknown case {self.case!r}")
-        if len(self.rho_params) != self.n - 1:
-            raise InvalidSpec(
-                f"need {self.n - 1} rho parameters for n={self.n}, "
-                f"got {len(self.rho_params)}"
-            )
+        if len(self.rho_params) != len(self.anchors):
+            raise InvalidSpec(f"need one rho parameter per anchor, got {self.rho_params}")
         if any(not -1.0 < r < 1.0 for r in self.rho_params):
             raise InvalidSpec("rho parameters must lie in (-1, 1)")
-        if self.case == "explicit":
-            if self.k_map is None or len(self.k_map) != self.n - 1:
-                raise InvalidSpec("explicit case needs a k-map entry for each n = 2..n")
-            if any(not 1 <= k < m for k, m in zip(self.k_map, range(2, self.n + 1))):
-                raise InvalidSpec("k-map must satisfy 1 <= k(n) < n")
+        if any(not 1 <= k < m for m, k in enumerate(self.anchors, start=2)):
+            raise InvalidSpec("anchors must satisfy 1 <= k(m) < m")
 
-    def anchor(self, m: int) -> int:
-        """k(m) for m = 2..n (1-based)."""
-        if self.case == "anchor-first":
-            return 1
-        if self.case == "alternating":
-            return m - 1
-        return self.k_map[m - 2]
+    @property
+    def n(self) -> int:
+        return len(self.anchors) + 1
 
 
 def build_gaussian_seq(spec: GaussianSeqSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -221,28 +197,23 @@ def build_gaussian_seq(spec: GaussianSeqSpec) -> tuple[np.ndarray, np.ndarray]:
     Raises NotPositiveDefinite if the resulting matrix is numerically singular
     or indefinite.
     """
-    n = spec.n
-    mu = np.empty(n)
+    mu = np.empty(spec.n)
     mu[0] = spec.mu
-    corr = np.eye(n)
-    for m in range(2, n + 1):
-        k = spec.anchor(m)
+    corr = np.eye(spec.n)
+    for m, k, free in zip(range(2, spec.n + 1), spec.anchors, spec.rho_params):
         mu[m - 1] = -mu[k - 1]
-        free = spec.rho_params[m - 2]
-        for j in range(1, m):
-            r = free if j == k else -corr[k - 1, j - 1]
-            corr[m - 1, j - 1] = corr[j - 1, m - 1] = r
+        corr[m - 1, : m - 1] = corr[: m - 1, m - 1] = -corr[k - 1, : m - 1]
+        corr[m - 1, k - 1] = corr[k - 1, m - 1] = free
     _check_positive_definite(corr)
     return mu, corr
 
 
-def mlr_scale_density(family: str, theta: float) -> Callable[[float], float]:
-    """Density of a centered scale family member; used for the pointwise
-    likelihood-ratio inequality checks."""
+def mlr_scale_density(family: str, theta: float) -> Callable:
+    """Density of a centered scale family member, on floats or arrays; used for
+    the pointwise likelihood-ratio inequality checks."""
     if family == "normal":
-        return lambda x: math.exp(-x * x / (2.0 * theta * theta)) / (
-            theta * math.sqrt(2.0 * math.pi)
-        )
+        c = theta * math.sqrt(2.0 * math.pi)
+        return lambda x: np.exp(-x * x / (2.0 * theta * theta)) / c
     if family == "cauchy":
         return lambda x: theta / (math.pi * (theta * theta + x * x))
     raise InvalidSpec(f"unknown scale family {family!r}")

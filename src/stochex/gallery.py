@@ -359,11 +359,19 @@ def _indep_sym_step(_):
     )
 
 
+def finite(text: str) -> float:
+    """A float parsed from text; ValueError unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_floats(text: str, count: int, what: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != count:
         raise UnknownId(f"{what} takes {count} comma-separated parameters, got {text!r}")
-    return [float(p) for p in parts]
+    return [finite(p) for p in parts]
 
 
 def _bvn(arg):
@@ -382,7 +390,7 @@ def _elliptical(arg):
     if gen_name == "gauss":
         gen = None
     elif gen_name.startswith("t"):
-        gen = StudentTGenerator(float(gen_name[1:]))
+        gen = StudentTGenerator(finite(gen_name[1:]))
     else:
         raise UnknownId(f"unknown generator {gen_name!r}")
     model = bivariate_elliptical(mu, nu, sigma, tau, rho, gen)
@@ -403,7 +411,7 @@ def _elliptical(arg):
 
 def _intraclass(arg):
     n_text, rho_text = arg.split(",")
-    n, rho = int(n_text), float(rho_text)
+    n, rho = int(n_text), finite(rho_text)
     model = intraclass_model(n, rho)
     c = "URsub" if rho < 0 else "LRsup"
     signed = ("signed one-sided density inequality", _density, 11, (c,),
@@ -417,10 +425,10 @@ def _intraclass(arg):
 def _gauss_seq(arg):
     case_text, n_text = arg.split(",")
     case, n = int(case_text), int(n_text)
-    case_name = {1: "anchor-first", 2: "alternating"}.get(case)
-    if case_name is None:
+    if case not in (1, 2):
         raise UnknownId(f"gauss-seq case must be 1 or 2, got {case}")
-    spec = GaussianSeqSpec(n=n, mu=1.0, case=case_name, rho_params=(0.1,) * (n - 1))
+    anchors = (1,) * (n - 1) if case == 1 else tuple(range(1, n))
+    spec = GaussianSeqSpec(1.0, anchors, (0.1,) * (n - 1))
     means = [1.0] + [-1.0] * (n - 1) if case == 1 else [(-1.0) ** i for i in range(n)]
     desc = "Gaussian sequence with sign-copied means and correlations"
     return f"gauss-seq:{case},{n}", spec, desc, (
@@ -431,7 +439,7 @@ def _gauss_seq(arg):
 
 def _mlr(arg):
     family, t1, t2 = arg.split(",")
-    spec = {"family": family, "theta1": float(t1), "theta2": float(t2)}
+    spec = {"family": family, "theta1": finite(t1), "theta2": finite(t2)}
     desc = "independent symmetric scale pair with monotone likelihood ratio"
     return f"mlr:{family},{spec['theta1']},{spec['theta2']}", spec, desc, (
         ("ordering chain and density inequality", _mlr_chain),

@@ -1,14 +1,20 @@
-"""Shared randomized constructors for the test suite.
+"""Shared randomized constructors and reference implementations for the tests.
 
-Everything here is exact (fractions.Fraction) and driven by a seeded
-`random.Random`, so every test run is reproducible.
+The exact helpers work in fractions.Fraction and are driven by a seeded
+`random.Random`, so every test run is reproducible.  The `reference_*`
+numeric-lab functions are the per-element float loops that the array code
+must reproduce.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
+from stochex.contlab import GaussianGenerator, phi
 from stochex.dist import ExactJointDist, SignedPermutation, UnivariateDist
 from stochex.stochorder import OrderVerdict
 from stochex.symmetry import SymmetryCondition, SymmetryVerdict, Witness
@@ -299,3 +305,56 @@ def reference_pair_scan(d: ExactJointDist, kind: str, k: int = 1, l: int = 2):
         if violated:
             return SymmetryVerdict(condition, False, Witness(point, p, image, q))
     return SymmetryVerdict(condition, True)
+
+
+def reference_folded_normal_cdf(x, mu: float, sigma: float = 1.0):
+    """cdf of |Z| for Z ~ N(mu, sigma^2), one element at a time."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    for i, xi in np.ndenumerate(x):
+        if xi < 0:
+            out[i] = 0.0
+        else:
+            out[i] = phi((xi - mu) / sigma) - phi((-xi - mu) / sigma)
+    return out
+
+
+def reference_density(model, point) -> float:
+    """Elliptical density at one point: solve and det per point, scalar radial."""
+    sigma = model.sigma()
+    delta = np.asarray(point, dtype=float) - np.asarray(model.mean)
+    t = float(delta @ np.linalg.solve(sigma, delta))
+    d = model.dim
+    if isinstance(model.generator, GaussianGenerator):
+        g = (2.0 * math.pi) ** (-d / 2.0) * math.exp(-t / 2.0)
+    else:
+        nu = model.generator.nu
+        c = math.gamma((nu + d) / 2.0) / (math.gamma(nu / 2.0) * (nu * math.pi) ** (d / 2.0))
+        g = c * (1.0 + t / nu) ** (-(nu + d) / 2.0)
+    return float(np.linalg.det(sigma)) ** -0.5 * g
+
+
+def reference_density_symmetry_grid(model, condition, grid_axes, k=1, l=2, tolerance=1e-12):
+    """Grid check of a density (in)equality, one grid point at a time."""
+    reflect = SignedPermutation.reverse_pair(model.dim, k, l).apply
+    mesh = np.meshgrid(*grid_axes, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    violations = checked = 0
+    worst = 0.0
+    for row in points:
+        pt = tuple(float(c) for c in row)
+        if not reference_in_region(pt, k, l, condition):
+            continue
+        checked += 1
+        f = reference_density(model, pt)
+        g = reference_density(model, reflect(pt))
+        if condition in ("URE", "LRE"):
+            dev = abs(f - g)
+        elif condition.endswith("sub"):
+            dev = g - f
+        else:
+            dev = f - g
+        if dev > tolerance:
+            violations += 1
+        worst = max(worst, dev)
+    return {"points_in_region": checked, "violations": violations, "max_deviation": worst}

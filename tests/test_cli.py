@@ -106,6 +106,12 @@ class TestGallerySubcommand:
         ids = [row["id"] for row in json.loads(out)]
         assert "axes:3" in ids
 
+    def test_nan_density_grid_fails(self, capsys):
+        # Finite parameters whose densities are all NaN on the grid.
+        code, out = run(capsys, "gallery", "elliptical:gauss,1e308,5e307,1,1,0.9")
+        assert code == EXIT_CHECK_FAILED
+        assert not any(row["pass"] for row in json.loads(out)["expectations"])
+
     def test_emit(self, capsys):
         code, out = run(capsys, "gallery", "sci-not-re", "--emit")
         assert code == EXIT_OK
@@ -269,3 +275,26 @@ class TestInputErrorsExit2:
     ])
     def test_numeric_command_inputs(self, capsys, argv):
         self.assert_input_error(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["gallery", "bvn:1e400,0.1"],
+        ["gallery", "bvn:1,nan"],
+        ["gallery", "elliptical:gauss,0,0,-1,1,0"],
+        ["gallery", "elliptical:gauss,0,0,1,0,0"],
+        ["gallery", "elliptical:gauss,inf,0,1,1,0"],
+        ["gallery", "elliptical:tinf,0,0,1,1,0"],
+        ["gallery", "elliptical:tnan,0,0,1,1,0"],
+        ["gallery", "intraclass:3,nan"],
+        ["gallery", "mlr:normal,1,inf"],
+        ["mc", "bvn:nan,0.1", "--n", "1000"],
+    ])
+    def test_continuous_id_parameters_finite_and_scales_positive(self, capsys, argv):
+        self.assert_input_error(capsys, *argv)
+
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-NAN"])
+    def test_negative_non_finite_value_is_named(self, capsys, value):
+        code = main(["phi2", "1", value, "0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert f"invalid finite value: '{value}'" in err

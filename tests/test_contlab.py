@@ -28,12 +28,19 @@ from stochex.contlab import (
     verify_identity_11,
     verify_mlr_example,
 )
+from stochex.contlab.elliptical import GRID_TOLERANCE
 from stochex.errors import (
     EmptyGrid,
     InvalidSpec,
     InvalidThetaOrder,
     NotPositiveDefinite,
     RhoOutOfRange,
+)
+
+from _support import (
+    reference_density,
+    reference_density_symmetry_grid,
+    reference_folded_normal_cdf,
 )
 
 
@@ -123,18 +130,20 @@ class TestEllipticalDensities:
         rng = np.random.default_rng(1)
         model = bivariate_elliptical(1.0, -0.5, 1.2, 0.8, 0.4)
         ref = stats.multivariate_normal(mean=model.mean, cov=model.sigma())
-        for _ in range(50):
-            pt = rng.uniform(-3, 3, size=2)
+        pts = rng.uniform(-3, 3, size=(50, 2))
+        for pt in pts:
             assert abs(model.density(pt) - ref.pdf(pt)) < 1e-12
+        assert np.all(np.abs(model.density(pts) - ref.pdf(pts)) < 1e-12)
 
     def test_student_t_density_matches_scipy(self):
         nu = 5.0
         model = bivariate_elliptical(0.0, 0.0, 1.0, 1.0, 0.3, StudentTGenerator(nu))
         ref = stats.multivariate_t(loc=[0, 0], shape=model.sigma(), df=nu)
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            pt = rng.uniform(-3, 3, size=2)
+        pts = rng.uniform(-3, 3, size=(50, 2))
+        for pt in pts:
             assert abs(model.density(pt) - ref.pdf(pt)) < 1e-12
+        assert np.all(np.abs(model.density(pts) - ref.pdf(pts)) < 1e-12)
 
     def test_intraclass_rho_range(self):
         with pytest.raises(InvalidSpec):
@@ -150,6 +159,25 @@ class TestEllipticalDensities:
     def test_student_t_needs_positive_nu(self):
         with pytest.raises(InvalidSpec):
             StudentTGenerator(0.0)
+
+    @pytest.mark.parametrize("nu", [math.inf, math.nan])
+    def test_student_t_needs_finite_positive_nu(self, nu):
+        with pytest.raises(InvalidSpec):
+            StudentTGenerator(nu)
+
+    @pytest.mark.parametrize("sigma,tau", [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (0.0, 1.0),
+                                           (math.nan, 1.0)])
+    def test_bivariate_scales_must_be_positive(self, sigma, tau):
+        with pytest.raises(InvalidSpec):
+            bivariate_elliptical(0.0, 0.0, sigma, tau, 0.0)
+
+    def test_density_of_one_point_is_a_float_and_of_rows_an_array(self):
+        model = intraclass_model(3, 0.2)
+        assert isinstance(model.density([0.1, 0.2, 0.3]), float)
+        rows = np.array([[0.1, 0.2, 0.3], [1.0, -1.0, 0.5]])
+        got = model.density(rows)
+        assert got.shape == (2,)
+        assert list(got) == [model.density(r) for r in rows]
 
 
 class TestDensityGrids:
@@ -190,10 +218,87 @@ class TestDensityGrids:
         with pytest.raises(ValueError):
             density_symmetry_grid(model, "XYZ", self.AXES2)
 
+    def test_nan_deviations_are_violations(self):
+        # Finite inputs whose quadratic form is inf - inf: every density is NaN.
+        model = bivariate_elliptical(1e308, 5e307, 1.0, 1.0, 0.9)
+        r = density_symmetry_grid(model, "URsub", self.AXES2)
+        assert r["points_in_region"] > 0
+        assert r["violations"] == r["points_in_region"]
+        assert r["pass"] is False
+
+    def test_tolerance_is_reported(self):
+        model = bivariate_elliptical(0.0, 0.0, 1.0, 1.0, 0.0)
+        assert density_symmetry_grid(model, "URE", self.AXES2)["tolerance"] == GRID_TOLERANCE
+
+
+class TestArrayPathsMatchReference:
+    """The array computations reproduce the per-element loops they replaced."""
+
+    @pytest.mark.parametrize("mu", [0.0, 1.5, -0.7])
+    def test_folded_normal_cdf_is_bit_identical(self, mu):
+        rng = np.random.default_rng(17)
+        for x in (
+            rng.normal(mu, 2.0, size=1000),
+            np.concatenate([[-3.0, -1e-300, -0.0, 0.0, 1e-300], rng.uniform(-4, 4, 200)]),
+            np.asarray(0.0),
+            np.asarray(-2.5),
+            np.asarray(1.25),
+            rng.normal(0.0, 3.0, size=(7, 9)),
+        ):
+            got = folded_normal_cdf(x, mu)
+            want = reference_folded_normal_cdf(x, mu)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_folded_normal_cdf_takes_a_list(self):
+        assert np.array_equal(folded_normal_cdf([-1.0, 0.0, 2.0], 1.0),
+                              reference_folded_normal_cdf([-1.0, 0.0, 2.0], 1.0))
+
+    @pytest.mark.parametrize("generator", [None, StudentTGenerator(4.0)])
+    def test_density_rows_match_per_point_reference(self, generator):
+        models = [
+            bivariate_elliptical(0.8, -0.3, 1.1, 0.7, 0.45, generator),
+            intraclass_model(3, -0.3, 1.5, generator),
+        ]
+        rng = np.random.default_rng(5)
+        for model in models:
+            rows = rng.uniform(-4, 4, size=(40, model.dim))
+            want = np.array([reference_density(model, r) for r in rows])
+            assert np.allclose(model.density(rows), want, rtol=1e-14, atol=0.0)
+
+    CONDITIONS = ("URE", "LRE", "URsub", "LRsub", "URsup", "LRsup")
+    MODELS = {
+        "bvn-shifted": (bivariate_elliptical(1.0, 0.5, 1.0, 1.0, 0.2), [(1, 2)]),
+        "bvn-scales": (bivariate_elliptical(0.0, 0.0, 1.0, 2.0, 0.3), [(1, 2)]),
+        "t-shifted": (bivariate_elliptical(-0.6, 0.2, 1.0, 1.0, -0.4, StudentTGenerator(3.0)),
+                      [(1, 2)]),
+        "intraclass-neg": (intraclass_model(3, -0.3), [(1, 3), (2, 3), (1, 2)]),
+        "t-intraclass-pos": (intraclass_model(3, 0.3, 1.0, StudentTGenerator(5.0)),
+                             [(1, 3), (2, 3)]),
+        "gauss-3d-shifted": (EllipticalModel((0.4, -0.2, 0.3), ((1.0, 0.2, 0.1),
+                                                                  (0.2, 1.5, -0.3),
+                                                                  (0.1, -0.3, 0.8))),
+                             [(1, 3), (1, 2)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("condition", CONDITIONS)
+    def test_density_grid_matches_reference(self, name, condition):
+        model, pairs = self.MODELS[name]
+        steps = 13 if model.dim == 2 else 9
+        axes = [_grid(-3.0, 3.0, steps)] * model.dim
+        for k, l in pairs:
+            got = density_symmetry_grid(model, condition, axes, k=k, l=l)
+            want = reference_density_symmetry_grid(model, condition, axes, k=k, l=l)
+            assert got["points_in_region"] == want["points_in_region"]
+            assert got["violations"] == want["violations"]
+            assert abs(got["max_deviation"] - want["max_deviation"]) <= 1e-15
+            assert got["pass"] == (want["violations"] == 0)
+
 
 class TestGaussianSeq:
     def test_anchor_first_mean_and_correlation_pattern(self):
-        spec = GaussianSeqSpec(n=4, mu=1.0, case="anchor-first", rho_params=(0.2, 0.1, 0.3))
+        spec = GaussianSeqSpec(mu=1.0, anchors=(1, 1, 1), rho_params=(0.2, 0.1, 0.3))
         mu, corr = build_gaussian_seq(spec)
         assert list(mu) == [1.0, -1.0, -1.0, -1.0]
         # rho_{m,j} = -rho_{1,j} for j != 1.
@@ -203,7 +308,7 @@ class TestGaussianSeq:
         assert np.allclose(corr, corr.T) and np.all(np.diag(corr) == 1.0)
 
     def test_alternating_mean_pattern(self):
-        spec = GaussianSeqSpec(n=5, mu=2.0, case="alternating", rho_params=(0.1,) * 4)
+        spec = GaussianSeqSpec(mu=2.0, anchors=(1, 2, 3, 4), rho_params=(0.1,) * 4)
         mu, corr = build_gaussian_seq(spec)
         assert list(mu) == [2.0, -2.0, 2.0, -2.0, 2.0]
         for m in range(3, 6):
@@ -213,32 +318,28 @@ class TestGaussianSeq:
                     assert corr[m - 1, j - 1] == -corr[k - 1, j - 1]
 
     def test_explicit_k_map(self):
-        spec = GaussianSeqSpec(
-            n=4, mu=1.0, case="explicit", rho_params=(0.2, 0.2, 0.2), k_map=(1, 1, 2)
-        )
+        spec = GaussianSeqSpec(mu=1.0, anchors=(1, 1, 2), rho_params=(0.2, 0.2, 0.2))
         mu, _ = build_gaussian_seq(spec)
         assert list(mu) == [1.0, -1.0, -1.0, 1.0]
 
     def test_spec_validation(self):
         with pytest.raises(InvalidSpec):
-            GaussianSeqSpec(n=1, mu=0.0, rho_params=())
+            GaussianSeqSpec(mu=0.0, anchors=(), rho_params=())
         with pytest.raises(InvalidSpec):
-            GaussianSeqSpec(n=3, mu=0.0, rho_params=(0.1,))
+            GaussianSeqSpec(mu=0.0, anchors=(1, 1), rho_params=(0.1,))
         with pytest.raises(InvalidSpec):
-            GaussianSeqSpec(n=3, mu=0.0, rho_params=(0.1, 1.0))
+            GaussianSeqSpec(mu=0.0, anchors=(1, 1), rho_params=(0.1, 1.0))
         with pytest.raises(InvalidSpec):
-            GaussianSeqSpec(n=3, mu=0.0, case="explicit", rho_params=(0.1, 0.1))
+            GaussianSeqSpec(mu=0.0, anchors=(1,), rho_params=(0.1, 0.1))
         with pytest.raises(InvalidSpec):
-            GaussianSeqSpec(
-                n=3, mu=0.0, case="explicit", rho_params=(0.1, 0.1), k_map=(1, 3)
-            )
+            GaussianSeqSpec(mu=0.0, anchors=(1, 3), rho_params=(0.1, 0.1))
+        with pytest.raises(InvalidSpec):
+            GaussianSeqSpec(mu=0.0, anchors=(0, 1), rho_params=(0.1, 0.1))
 
     def test_singular_pattern_rejected(self):
         # Strong positive ties to the anchor force corr23 = -0.9, which is
         # infeasible alongside corr12 = corr13 = 0.9.
-        spec = GaussianSeqSpec(
-            n=3, mu=1.0, case="anchor-first", rho_params=(0.9, 0.9)
-        )
+        spec = GaussianSeqSpec(mu=1.0, anchors=(1, 1), rho_params=(0.9, 0.9))
         with pytest.raises(NotPositiveDefinite):
             build_gaussian_seq(spec)
 
