@@ -2,7 +2,6 @@
 the stochastic orderings of absolute extreme order statistics."""
 
 from .dist import (
-    Atom,
     ExactJointDist,
     SignedPermutation,
     UnivariateDist,
@@ -30,7 +29,6 @@ from .symmetry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom",
     "ExactJointDist",
     "OrderVerdict",
     "RegionProbs",

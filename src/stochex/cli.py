@@ -28,7 +28,7 @@ from .contlab import (
     verify_identity_11,
     verify_mlr_example,
 )
-from .dist import ExactJointDist, parse_rational
+from .dist import ExactJointDist, UnivariateDist, parse_rational
 from .errors import InvalidSpec, StochexError, UnknownId
 from .gallery import finite, gallery, list_ids
 
@@ -85,6 +85,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_absdist(args) -> int:
+    if args.decimal and not args.csv:
+        raise StochexError("--decimal applies to --csv output only")
     d = _load_dist(args.dist)
     u = extremes.abs_extreme_dist(d, args.prefix, args.stat)
     if args.csv:
@@ -108,16 +110,12 @@ def _cmd_order(args) -> int:
     b = _load_dist(args.b)
     if a.dim != 1 or b.dim != 1:
         raise StochexError("order expects univariate inputs (dim = 1)")
-    ua = extremes.abs_extreme_dist(a, 1, "max") if args.absolute else _as_univariate(a)
-    ub = extremes.abs_extreme_dist(b, 1, "max") if args.absolute else _as_univariate(b)
+    if args.absolute:
+        ua, ub = (extremes.abs_extreme_dist(d, 1, "max") for d in (a, b))
+    else:  # the atoms of a dim-1 law are already in canonical order
+        ua, ub = (UnivariateDist(tuple((v, p) for (v,), p in d.atoms)) for d in (a, b))
     _emit(stochorder.st_compare(ua, ub).to_jsonable())
     return EXIT_OK
-
-
-def _as_univariate(d: ExactJointDist):
-    from .dist import UnivariateDist
-
-    return UnivariateDist.build([(a.point[0], a.prob) for a in d.atoms])
 
 
 def _cmd_classify(args) -> int:
@@ -161,13 +159,16 @@ def _cmd_mc(args) -> int:
     entry = gallery(args.model_id)
     model = entry.dist
     if entry.id.startswith("mlr:"):
+        if args.check is not None:
+            raise StochexError(f"{entry.id!r} runs its mlr chain and takes no --check")
         report = verify_mlr_example(model["theta1"], model["theta2"], model["family"], cfg)
         _emit(report)
         return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
     if not isinstance(model, EllipticalModel):
         raise StochexError(f"mc needs an elliptical model, got {entry.id!r}")
+    check = args.check or "min-max-equal"
     mu = model.mean[0]
-    if args.check == "absmax-absx-ks" and not (
+    if check == "absmax-absx-ks" and not (
         model.dim == 2
         and isinstance(model.generator, GaussianGenerator)
         and model.mean[1] == -mu
@@ -175,7 +176,7 @@ def _cmd_mc(args) -> int:
     ):
         # Only for this model is the folded normal of X the law of |max|.
         raise StochexError(
-            f"{args.check} needs a bivariate Gaussian with means (mu, -mu) "
+            f"{check} needs a bivariate Gaussian with means (mu, -mu) "
             f"and unit variances, got {entry.id!r}"
         )
     xy = sample_elliptical(model, cfg)
@@ -184,11 +185,11 @@ def _cmd_mc(args) -> int:
     abs_x = abs(xy[:, 0])
     abs_y = abs(xy[:, 1]) if xy.shape[1] > 1 else abs_x
 
-    if args.check == "absmax-absx-ks":
+    if check == "absmax-absx-ks":
         dist = ks_distance(abs_max, lambda t: folded_normal_cdf(t, mu))
         band = dkw_band(cfg.sample_count, cfg.alpha)
         report = {"max_deviation": dist, "tolerance": band, "pass": dist <= band}
-    elif args.check == "min-max-equal":
+    elif check == "min-max-equal":
         fwd = mc_dominance(abs_min, abs_max, cfg)
         bwd = mc_dominance(abs_max, abs_min, cfg)
         report = {"forward": fwd, "backward": bwd, "pass": fwd["pass"] and bwd["pass"]}
@@ -200,7 +201,7 @@ def _cmd_mc(args) -> int:
             "absY_le_absmax": mc_dominance(abs_y, abs_max, cfg),
         }
         report = {"parts": parts, "pass": all(p["pass"] for p in parts.values())}
-    _emit({"check": args.check, **report, "n": cfg.sample_count, "seed": cfg.seed})
+    _emit({"check": check, **report, "n": cfg.sample_count, "seed": cfg.seed})
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stat", choices=("max", "min"), default="max")
     p.add_argument("--prefix", type=int, required=True)
     p.add_argument("--csv", action="store_true", help="emit a cdf table instead of JSON")
-    p.add_argument("--decimal", action="store_true", help="render values as decimals")
+    p.add_argument("--decimal", action="store_true", help="render the --csv table in decimals")
     p.set_defaults(func=_cmd_absdist)
 
     p = sub.add_parser("regions", help="strip-region probabilities at a threshold")
@@ -297,11 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument(
-        "--check",
-        default="min-max-equal",
-        choices=("absmax-absx-ks", "min-max-equal", "ure-chain"),
-    )
+    # No default: an mlr id takes no --check, and an elliptical one runs min-max-equal.
+    p.add_argument("--check", choices=("absmax-absx-ks", "min-max-equal", "ure-chain"))
     p.set_defaults(func=_cmd_mc)
 
     return parser
@@ -315,10 +313,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except StochexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (StochexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

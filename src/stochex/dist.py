@@ -1,9 +1,11 @@
 """Exact finite discrete multivariate distributions over rational support points.
 
 All probabilities and coordinates are `fractions.Fraction`, so distributional
-equality is decidable with zero tolerance.  Distributions are immutable and
-stored in canonical form (atoms sorted lexicographically by point, duplicates
-merged, zero-probability atoms dropped).
+equality is decidable with zero tolerance.  Distributions are immutable, and
+both types keep their atoms as `(point, prob)` pairs in one canonical form,
+built by `_canonical`: duplicates merged, no mass negative, total exactly 1,
+zero-probability atoms dropped, sorted by point (lexicographically for
+`ExactJointDist`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -42,6 +44,23 @@ def parse_rational(text: str) -> Fraction:
 
 def _as_fraction(x: Fraction | int) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
+
+
+def _canonical(pairs: Iterable[tuple[Any, Fraction | int]]) -> tuple[tuple[Any, Fraction], ...]:
+    """The canonical form of a finite law given as (key, prob) pairs: the
+    masses of equal keys merged, none negative, summing to exactly 1, and
+    the positive ones returned sorted by key."""
+    merged: dict[Any, Fraction] = {}
+    for key, prob in pairs:
+        p = _as_fraction(prob)
+        if p < 0:
+            raise ValueError(f"negative probability {p} at {key}")
+        old = merged.get(key)
+        merged[key] = p if old is None else old + p
+    total = sum(merged.values(), Fraction(0))
+    if total != 1:
+        raise ProbabilityNotOne(1 - total)
+    return tuple((k, p) for k, p in sorted(merged.items()) if p > 0)
 
 
 @dataclass(frozen=True)
@@ -107,21 +126,11 @@ class SignedPermutation:
 
 
 @dataclass(frozen=True)
-class Atom:
-    point: Point
-    prob: Fraction
-
-    def __post_init__(self):
-        if self.prob <= 0:
-            raise ValueError(f"atom probability must be positive, got {self.prob}")
-
-
-@dataclass(frozen=True)
 class ExactJointDist:
     """Finite discrete distribution on rational points of R^dim, in canonical form."""
 
     dim: int
-    atoms: tuple[Atom, ...]
+    atoms: tuple[tuple[Point, Fraction], ...]
 
     @classmethod
     def build(
@@ -132,44 +141,33 @@ class ExactJointDist:
         """Merge duplicate points, drop zero-probability atoms, require total 1."""
         if dim < 1:
             raise DimensionMismatch(f"dim must be >= 1, got {dim}")
-        merged: dict[Point, Fraction] = {}
-        for point, prob in raw_atoms:
-            if len(point) != dim:
-                raise DimensionMismatch(
-                    f"atom {tuple(point)} has {len(point)} coordinates, expected {dim}"
-                )
-            pt = tuple(map(_as_fraction, point))
-            p = _as_fraction(prob)
-            if p < 0:
-                raise ValueError(f"negative probability {p} at {pt}")
-            old = merged.get(pt)
-            merged[pt] = p if old is None else old + p
-        total = sum(merged.values(), Fraction(0))
-        if total != 1:
-            raise ProbabilityNotOne(1 - total)
-        atoms = tuple(
-            Atom(pt, p) for pt, p in sorted(merged.items()) if p > 0
-        )
-        if not atoms:
-            raise ValueError("distribution must have at least one atom")
-        return cls(dim, atoms)
+
+        def points():
+            for point, prob in raw_atoms:
+                if len(point) != dim:
+                    raise DimensionMismatch(
+                        f"atom {tuple(point)} has {len(point)} coordinates, expected {dim}"
+                    )
+                yield tuple(map(_as_fraction, point)), prob
+
+        return cls(dim, _canonical(points()))
 
     @cached_property
     def _pmf(self) -> Mapping[Point, Fraction]:
-        return {a.point: a.prob for a in self.atoms}
+        return dict(self.atoms)
 
     def pmf(self, point: Sequence[Fraction | int]) -> Fraction:
         return self._pmf.get(tuple(Fraction(c) for c in point), Fraction(0))
 
     def support(self) -> tuple[Point, ...]:
-        return tuple(a.point for a in self.atoms)
+        return tuple(pt for pt, _ in self.atoms)
 
     def transform(self, m: SignedPermutation) -> "ExactJointDist":
         """Image distribution under a signed coordinate permutation."""
         if m.dim != self.dim:
             raise DimensionMismatch(f"map has dim {m.dim}, distribution has {self.dim}")
         return ExactJointDist.build(
-            self.dim, [(m.apply(a.point), a.prob) for a in self.atoms]
+            self.dim, [(m.apply(pt), p) for pt, p in self.atoms]
         )
 
     def equal(self, other: "ExactJointDist") -> bool:
@@ -186,8 +184,8 @@ class ExactJointDist:
                 f"cannot mix dims {self.dim} and {other.dim}"
             )
         half = Fraction(1, 2)
-        raw = [(a.point, a.prob * half) for a in self.atoms]
-        raw += [(a.point, a.prob * half) for a in other.atoms]
+        raw = [(pt, p * half) for pt, p in self.atoms]
+        raw += [(pt, p * half) for pt, p in other.atoms]
         return ExactJointDist.build(self.dim, raw)
 
     def marginal(self, index_set: Iterable[int]) -> "ExactJointDist":
@@ -199,9 +197,7 @@ class ExactJointDist:
             raise IndexOutOfRange(
                 f"indices {indices} out of range 1..{self.dim}"
             )
-        raw = [
-            (tuple(a.point[i - 1] for i in indices), a.prob) for a in self.atoms
-        ]
+        raw = [(tuple(pt[i - 1] for i in indices), p) for pt, p in self.atoms]
         return ExactJointDist.build(len(indices), raw)
 
     def to_jsonable(self) -> dict:
@@ -209,10 +205,10 @@ class ExactJointDist:
             "dim": self.dim,
             "atoms": [
                 {
-                    "x": [str(c) for c in a.point],
-                    "p": str(a.prob),
+                    "x": [str(c) for c in pt],
+                    "p": str(p),
                 }
-                for a in self.atoms
+                for pt, p in self.atoms
             ],
         }
 
@@ -267,21 +263,7 @@ class UnivariateDist:
     def build(
         cls, raw_atoms: Iterable[tuple[Fraction | int, Fraction | int]]
     ) -> "UnivariateDist":
-        merged: dict[Fraction, Fraction] = {}
-        for value, prob in raw_atoms:
-            v = _as_fraction(value)
-            p = _as_fraction(prob)
-            if p < 0:
-                raise ValueError(f"negative probability {p} at {v}")
-            old = merged.get(v)
-            merged[v] = p if old is None else old + p
-        total = sum(merged.values(), Fraction(0))
-        if total != 1:
-            raise ProbabilityNotOne(1 - total)
-        atoms = tuple((v, p) for v, p in sorted(merged.items()) if p > 0)
-        if not atoms:
-            raise ValueError("distribution must have at least one atom")
-        return cls(atoms)
+        return cls(_canonical((_as_fraction(v), p) for v, p in raw_atoms))
 
     def cdf(self, x: Fraction | int) -> Fraction:
         """Exact P[value <= x]; a right-continuous step function."""

@@ -49,13 +49,13 @@ def _prefix_laws(
     to ints over theirs, so the pass does integer comparisons and additions
     only.  The masses of every law sum to 1 because those of `d` do.
     """
-    points = [a.point[:upto] for a in d.atoms]
+    points = [pt[:upto] for pt, _ in d.atoms]
     den = math.lcm(*{c.denominator for pt in points for c in pt})
-    pden = math.lcm(*{a.prob.denominator for a in d.atoms})
+    pden = math.lcm(*{p.denominator for _, p in d.atoms})
     maxes: list[dict[int, int]] = [{} for _ in range(upto)]
     mins: list[dict[int, int]] = [{} for _ in range(upto)]
-    for pt, a in zip(points, d.atoms):
-        w = a.prob.numerator * (pden // a.prob.denominator)
+    for pt, (_, p) in zip(points, d.atoms):
+        w = p.numerator * (pden // p.denominator)
         xs = [c.numerator * (den // c.denominator) for c in pt]
         hi = lo = xs[0]
         for x, mx, mn in zip(xs, maxes, mins):
@@ -91,18 +91,17 @@ def region_probs(d: ExactJointDist, x: Fraction | int) -> RegionProbs:
     if x < 0:
         raise NegativeThreshold(f"threshold must be >= 0, got {x}")
     n = s = e = w = c = Fraction(0)
-    for atom in d.atoms:
-        a, b = atom.point
+    for (a, b), p in d.atoms:
         if abs(a) <= x and abs(b) <= x:
-            c += atom.prob
+            c += p
         elif abs(a) <= x and b > x:
-            n += atom.prob
+            n += p
         elif abs(a) <= x and b < -x:
-            s += atom.prob
+            s += p
         elif abs(b) <= x and a > x:
-            e += atom.prob
+            e += p
         elif abs(b) <= x and a < -x:
-            w += atom.prob
+            w += p
     return RegionProbs(x, n, s, e, w, c)
 
 

@@ -133,19 +133,19 @@ def strictness_witness(
         raise IndexOutOfRange(f"m={m} not in 1..{d.dim}")
     if mode not in ("above", "below"):
         raise ValueError(f"mode must be 'above' or 'below', got {mode!r}")
-    for atom in d.atoms:
-        others = [abs(c) for i, c in enumerate(atom.point) if i != m - 1]
+    for pt, p in d.atoms:
+        others = [abs(c) for i, c in enumerate(pt) if i != m - 1]
         bound = max(others) if others else None
         if bound is None:
             continue
-        xm = atom.point[m - 1]
+        xm = pt[m - 1]
         if (mode == "above" and xm > bound) or (mode == "below" and xm < -bound):
-            return atom.point, atom.prob
+            return pt, p
     return None
 
 
 def _prob(d: ExactJointDist, pred) -> Fraction:
-    return sum((a.prob for a in d.atoms if pred(a.point)), Fraction(0))
+    return sum((p for pt, p in d.atoms if pred(pt)), Fraction(0))
 
 
 def strict_chain_preconditions(d: ExactJointDist) -> dict:

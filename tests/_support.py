@@ -47,8 +47,8 @@ def symmetrize(d: ExactJointDist, maps: list[SignedPermutation]) -> ExactJointDi
     w = Fraction(1, len(maps))
     raw = []
     for m in maps:
-        for a in d.transform(m).atoms:
-            raw.append((a.point, a.prob * w))
+        for pt, p in d.transform(m).atoms:
+            raw.append((pt, p * w))
     return ExactJointDist.build(d.dim, raw)
 
 
@@ -99,7 +99,7 @@ def one_sided_symmetrize(d: ExactJointDist, side: str) -> ExactJointDist:
     maps each open half-plane onto itself, so total probability is preserved."""
     assert d.dim == 2 and side in ("upper", "lower")
     m = SignedPermutation.reverse_pair(2, 1, 2)
-    pmf = {a.point: a.prob for a in d.atoms}
+    pmf = dict(d.atoms)
     candidates = set(pmf)
     candidates.update(m.apply(p) for p in pmf)
     out = dict(pmf)
@@ -191,7 +191,7 @@ def reference_abs_extreme_dist(d: ExactJointDist, prefix_len: int, kind: str) ->
     """Law of |max(X_1..X_l)| or |min(X_1..X_l)|, atom by atom in Fraction."""
     pick = max if kind == "max" else min
     return UnivariateDist.build(
-        [(abs(pick(a.point[:prefix_len])), a.prob) for a in d.atoms]
+        [(abs(pick(pt[:prefix_len])), p) for pt, p in d.atoms]
     )
 
 

@@ -176,10 +176,11 @@ class TestNumericSubcommands:
 
     def test_mc_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("STOCHEX_SEED", "99")
-        code, out = run(capsys, "mc", "bvn:0.0,0.0", "--check", "min-max-equal",
-                        "--n", "20000")
+        code, out = run(capsys, "mc", "bvn:0.0,0.0", "--n", "20000")
         assert code == EXIT_OK
-        assert json.loads(out)["seed"] == 99
+        report = json.loads(out)
+        assert report["seed"] == 99
+        assert report["check"] == "min-max-equal"  # the default for an elliptical id
 
 
 class TestUsageErrors:
@@ -246,6 +247,9 @@ class TestInputErrorsExit2:
     def test_axes_needs_positive_n(self, capsys):
         self.assert_input_error(capsys, "absdist", "gallery://axes:0", "--prefix", "1")
 
+    def test_decimal_needs_csv(self, capsys):
+        self.assert_input_error(capsys, "absdist", "gallery://axes:2", "--prefix", "2", "--decimal")
+
     @pytest.mark.parametrize("coordinate,prob", [("1/0", "1"), ("1", "1/0")])
     def test_zero_denominator_in_distribution_json(self, capsys, tmp_path, coordinate, prob):
         path = tmp_path / "bad.json"
@@ -272,6 +276,7 @@ class TestInputErrorsExit2:
         ["mc", "intraclass:1,0.5", "--n", "1000"],
         ["identity11", "--steps", "0"],
         ["identity11", "--steps", "-3"],
+        ["mc", "mlr:normal,1,2", "--check", "absmax-absx-ks", "--n", "1000"],
     ])
     def test_numeric_command_inputs(self, capsys, argv):
         self.assert_input_error(capsys, *argv)

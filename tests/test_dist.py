@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from _support import COORD_GRID, random_joint
 from stochex.dist import (
-    Atom,
     ExactJointDist,
     SignedPermutation,
     UnivariateDist,
@@ -92,14 +91,46 @@ class TestBuild:
         with pytest.raises(ProbabilityNotOne) as exc_info:
             ExactJointDist.build(1, [((0,), Fraction(2, 3))])
         assert "1/3" in str(exc_info.value)
+        # No atoms total 0, so a canonical law always has a positive mass.
+        with pytest.raises(ProbabilityNotOne):
+            ExactJointDist.build(1, [])
+        with pytest.raises(ProbabilityNotOne):
+            UnivariateDist.build([])
 
     def test_atom_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             ExactJointDist.build(2, [((1,), Fraction(1))])
 
-    def test_atom_rejects_nonpositive_prob(self):
-        with pytest.raises(ValueError):
-            Atom((Fraction(0),), Fraction(0))
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)), max_size=8),
+        st.sampled_from(("none", "negative", "total")),
+    )
+    def test_both_types_share_one_canonical_form(self, raw, flaw):
+        # Few values and small weights, so duplicates and zero masses are common.
+        total = sum(w for _, w in raw) or 1
+        pairs = [(Fraction(v), Fraction(w, total)) for v, w in raw]
+        if flaw == "negative":
+            pairs.insert(len(pairs) // 2, (Fraction(1), Fraction(-1, 3)))
+        elif flaw == "total":
+            pairs.append((Fraction(0), Fraction(1, 2)))
+
+        def outcome(build):
+            try:
+                return build()
+            except (ValueError, ProbabilityNotOne) as exc:
+                return type(exc)
+
+        univariate = outcome(lambda: UnivariateDist.build(pairs).atoms)
+        joint = outcome(lambda: ExactJointDist.build(1, [((v,), p) for v, p in pairs]).atoms)
+        if isinstance(joint, tuple):
+            joint = tuple((v, p) for (v,), p in joint)
+        assert univariate == joint
+        if flaw == "negative":
+            assert univariate is ValueError
+        elif flaw == "total" or not any(w for _, w in raw):
+            assert univariate is ProbabilityNotOne
+        else:
+            assert [v for v, _ in univariate] == sorted({Fraction(v) for v, w in raw if w})
 
 
 class TestProperties:
@@ -136,7 +167,7 @@ class TestProperties:
         rng = random.Random(19)
         for _ in range(100):
             d = random_joint(rng, dim=1)
-            u = UnivariateDist.build([(a.point[0], a.prob) for a in d.atoms])
+            u = UnivariateDist.build([(pt[0], p) for pt, p in d.atoms])
             assert sum(p for _, p in u.atoms) == 1
             values = u.values()
             cdfs = [u.cdf(v) for v in values]

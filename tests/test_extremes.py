@@ -38,9 +38,9 @@ class TestAbsExtremeDist:
                 u = abs_extreme_dist(d, l, kind)
                 # Independent enumeration of the same law.
                 oracle: dict[Fraction, Fraction] = {}
-                for a in d.atoms:
-                    v = abs(pick(a.point[:l]))
-                    oracle[v] = oracle.get(v, Fraction(0)) + a.prob
+                for pt, p in d.atoms:
+                    v = abs(pick(pt[:l]))
+                    oracle[v] = oracle.get(v, Fraction(0)) + p
                 assert dict(u.atoms) == oracle
 
     def test_min_law_equals_max_law_of_negated(self):

@@ -60,7 +60,7 @@ class TestConstructors:
     def test_axes_mass(self):
         d = axes_dist(3)
         assert len(d.atoms) == 6
-        assert all(a.prob == Fraction(1, 6) for a in d.atoms)
+        assert all(p == Fraction(1, 6) for _, p in d.atoms)
 
     def test_remark_distribution_shape(self):
         d = remark_asym_dist()
@@ -86,7 +86,7 @@ class TestConstructors:
 
     def test_draws_dist_is_exchangeable_mass(self):
         d = draws_dist([Fraction(v) for v in (-1, 1)], 2)
-        assert all(a.prob == Fraction(1, 2) for a in d.atoms)
+        assert all(p == Fraction(1, 2) for _, p in d.atoms)
 
 
 class TestIdParsing:

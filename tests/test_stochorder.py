@@ -184,7 +184,7 @@ class TestStrictnessPreconditions:
         report = strict_chain_preconditions(d)
 
         def prob(pred):
-            return sum((a.prob for a in d.atoms if pred(a.point)), Fraction(0))
+            return sum((p for pt, p in d.atoms if pred(pt)), Fraction(0))
 
         assert report["ssiamx"]["step2_lhs"] == str(
             prob(lambda p: p[1] > abs(p[0]))
