@@ -9,22 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
 
 from . import extremes, stochorder, symmetry
 from .contlab import (
+    MC_CHECKS,
     EllipticalModel,
-    GaussianGenerator,
     MCConfig,
-    dkw_band,
-    folded_normal_cdf,
-    ks_distance,
-    mc_dominance,
+    mc_check,
     phi2,
-    sample_elliptical,
     verify_identity_11,
     verify_mlr_example,
 )
@@ -35,6 +30,7 @@ from .gallery import finite, gallery, list_ids
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+MAX_IDENTITY11_POINTS = 100_000  # the default grid is 13 x 5 = 65 points
 
 CONDITION_NAMES = {
     "re-kl": "RE",
@@ -70,10 +66,6 @@ def _load_dist(source: str) -> ExactJointDist:
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2, default=str)
     sys.stdout.write("\n")
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("STOCHEX_SEED", "0"))
 
 
 def _cmd_check(args) -> int:
@@ -126,6 +118,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_gallery(args) -> int:
     if args.list:
+        if args.id is not None or args.emit:
+            raise StochexError("gallery --list takes no id and no --emit")
         _emit(list_ids())
         return EXIT_OK
     if args.id is None:
@@ -148,6 +142,8 @@ def _cmd_phi2(args) -> int:
 
 def _cmd_identity11(args) -> int:
     steps = args.steps
+    if steps * len(args.rhos) > MAX_IDENTITY11_POINTS:
+        raise StochexError(f"steps x rhos is over {MAX_IDENTITY11_POINTS} grid points")
     xs = [args.xmax * i / (steps - 1) for i in range(steps)] if steps > 1 else [0.0]
     report = verify_identity_11(xs, args.rhos)
     _emit(report)
@@ -162,46 +158,11 @@ def _cmd_mc(args) -> int:
         if args.check is not None:
             raise StochexError(f"{entry.id!r} runs its mlr chain and takes no --check")
         report = verify_mlr_example(model["theta1"], model["theta2"], model["family"], cfg)
-        _emit(report)
-        return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
-    if not isinstance(model, EllipticalModel):
+    elif isinstance(model, EllipticalModel):
+        report = mc_check(model, args.check or "min-max-equal", cfg)
+    else:
         raise StochexError(f"mc needs an elliptical model, got {entry.id!r}")
-    check = args.check or "min-max-equal"
-    mu = model.mean[0]
-    if check == "absmax-absx-ks" and not (
-        model.dim == 2
-        and isinstance(model.generator, GaussianGenerator)
-        and model.mean[1] == -mu
-        and model.scale[0][0] == model.scale[1][1] == 1.0
-    ):
-        # Only for this model is the folded normal of X the law of |max|.
-        raise StochexError(
-            f"{check} needs a bivariate Gaussian with means (mu, -mu) "
-            f"and unit variances, got {entry.id!r}"
-        )
-    xy = sample_elliptical(model, cfg)
-    abs_max = abs(xy.max(axis=1))
-    abs_min = abs(xy.min(axis=1))
-    abs_x = abs(xy[:, 0])
-    abs_y = abs(xy[:, 1]) if xy.shape[1] > 1 else abs_x
-
-    if check == "absmax-absx-ks":
-        dist = ks_distance(abs_max, lambda t: folded_normal_cdf(t, mu))
-        band = dkw_band(cfg.sample_count, cfg.alpha)
-        report = {"max_deviation": dist, "tolerance": band, "pass": dist <= band}
-    elif check == "min-max-equal":
-        fwd = mc_dominance(abs_min, abs_max, cfg)
-        bwd = mc_dominance(abs_max, abs_min, cfg)
-        report = {"forward": fwd, "backward": bwd, "pass": fwd["pass"] and bwd["pass"]}
-    else:  # ure-chain: |min| <=_st |X|, |Y| <=_st |max|
-        parts = {
-            "absmin_le_absX": mc_dominance(abs_min, abs_x, cfg),
-            "absmin_le_absY": mc_dominance(abs_min, abs_y, cfg),
-            "absX_le_absmax": mc_dominance(abs_x, abs_max, cfg),
-            "absY_le_absmax": mc_dominance(abs_y, abs_max, cfg),
-        }
-        report = {"parts": parts, "pass": all(p["pass"] for p in parts.values())}
-    _emit({"check": check, **report, "n": cfg.sample_count, "seed": cfg.seed})
+    _emit(report)
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
@@ -295,11 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte Carlo dominance checks on a continuous model")
     p.add_argument("model_id")
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--n", type=int, default=MCConfig.sample_count)
+    p.add_argument("--seed", type=int, default=MCConfig.seed)
+    p.add_argument("--alpha", type=float, default=MCConfig.alpha)
     # No default: an mlr id takes no --check, and an elliptical one runs min-max-equal.
-    p.add_argument("--check", choices=("absmax-absx-ks", "min-max-equal", "ure-chain"))
+    p.add_argument("--check", choices=MC_CHECKS)
     p.set_defaults(func=_cmd_mc)
 
     return parser

@@ -1,6 +1,8 @@
 """Numeric lab for the continuous families: normal cdfs, elliptical densities,
-sign-patterned Gaussian sequences, seeded sampling, and MC dominance checks;
-densities, grid checks and the folded-normal cdf work on arrays, `phi2` on floats."""
+sign-patterned Gaussian sequences, seeded sampling, MC dominance checks, and
+`mc_check`, the Monte Carlo |max|/|min| checks that `stochex mc` and the gallery
+run; densities, grid checks and the folded-normal cdf work on arrays, `phi2` on
+floats."""
 
 from .elliptical import (
     EllipticalModel,
@@ -14,11 +16,13 @@ from .elliptical import (
     mlr_scale_density,
 )
 from .montecarlo import (
+    MC_CHECKS,
     EmpiricalCdf,
     MCConfig,
     dkw_band,
     folded_normal_cdf,
     ks_distance,
+    mc_check,
     mc_dominance,
     sample_elliptical,
     sample_gaussian,
@@ -32,6 +36,7 @@ __all__ = [
     "GaussianGenerator",
     "GaussianSeqSpec",
     "MCConfig",
+    "MC_CHECKS",
     "StudentTGenerator",
     "bivariate_elliptical",
     "build_gaussian_seq",
@@ -40,6 +45,7 @@ __all__ = [
     "folded_normal_cdf",
     "intraclass_model",
     "ks_distance",
+    "mc_check",
     "mc_dominance",
     "mlr_scale_density",
     "phi",

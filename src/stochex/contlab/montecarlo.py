@@ -17,6 +17,7 @@ from .elliptical import EllipticalModel, GaussianGenerator, StudentTGenerator, m
 from .normal import _SQRT2
 
 DEFAULT_ALPHA = 0.01
+MAX_SAMPLE_COUNT = 10_000_000  # ten times the 10^6-sample acceptance checks
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,10 @@ class MCConfig:
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
-        if self.sample_count < 1000:
-            raise InvalidSpec(f"need at least 1000 samples, got {self.sample_count}")
+        if not 1000 <= self.sample_count <= MAX_SAMPLE_COUNT:
+            raise InvalidSpec(f"need 1000 to {MAX_SAMPLE_COUNT} samples, got {self.sample_count}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidSpec(f"alpha must be in (0, 1), got {self.alpha}")
 
@@ -126,6 +129,48 @@ def mc_dominance(a_values: np.ndarray, b_values: np.ndarray, cfg: MCConfig) -> d
         "n": len(a),
         "seed": cfg.seed,
     }
+
+
+MC_CHECKS = ("absmax-absx-ks", "min-max-equal", "ure-chain")
+
+
+def mc_check(model: EllipticalModel, check: str, cfg: MCConfig) -> dict:
+    """Run one of `MC_CHECKS` on one sample of `model`.  absmax-absx-ks: |max|
+    within the DKW band of the folded normal of X, the law of |max| only for a
+    bivariate Gaussian with means (mu, -mu) and unit variances.  min-max-equal:
+    |min| =d |max|.  ure-chain: |min| <=_st |X|, |Y| <=_st |max|, for dim 2."""
+    if check not in MC_CHECKS:
+        raise InvalidSpec(f"unknown check {check!r}; have {MC_CHECKS}")
+    mu = model.mean[0]
+    if check == "absmax-absx-ks" and not (
+        model.dim == 2
+        and isinstance(model.generator, GaussianGenerator)
+        and model.mean[1] == -mu
+        and model.scale[0][0] == model.scale[1][1] == 1.0
+    ):
+        raise InvalidSpec(f"{check} needs a bivariate Gaussian, means (mu, -mu), unit variances")
+    if check == "ure-chain" and model.dim != 2:
+        raise InvalidSpec(f"{check} compares the pair (X, Y) and needs dim 2, got {model.dim}")
+    xy = sample_elliptical(model, cfg)
+    abs_max, abs_min = np.abs(xy.max(axis=1)), np.abs(xy.min(axis=1))
+    if check == "absmax-absx-ks":
+        dist = ks_distance(abs_max, lambda t: folded_normal_cdf(t, mu))
+        band = dkw_band(cfg.sample_count, cfg.alpha)
+        report = {"max_deviation": dist, "tolerance": band, "pass": dist <= band}
+    elif check == "min-max-equal":
+        fwd = mc_dominance(abs_min, abs_max, cfg)
+        bwd = mc_dominance(abs_max, abs_min, cfg)
+        report = {"forward": fwd, "backward": bwd, "pass": fwd["pass"] and bwd["pass"]}
+    else:  # ure-chain
+        abs_x, abs_y = np.abs(xy[:, 0]), np.abs(xy[:, 1])
+        parts = {
+            "absmin_le_absX": mc_dominance(abs_min, abs_x, cfg),
+            "absmin_le_absY": mc_dominance(abs_min, abs_y, cfg),
+            "absX_le_absmax": mc_dominance(abs_x, abs_max, cfg),
+            "absY_le_absmax": mc_dominance(abs_y, abs_max, cfg),
+        }
+        report = {"parts": parts, "pass": all(p["pass"] for p in parts.values())}
+    return {"check": check, **report, "n": cfg.sample_count, "seed": cfg.seed}
 
 
 def verify_mlr_example(theta1: float, theta2: float, family: str, cfg: MCConfig) -> dict:

@@ -53,11 +53,13 @@ def phi2(x: float, y: float, rho: float) -> float:
     """Standard bivariate normal cdf P[X <= x, Y <= y] with correlation rho."""
     if not -1.0 < rho < 1.0:
         raise RhoOutOfRange(f"need |rho| < 1, got {rho}")
-    if math.isinf(x) and x < 0 or math.isinf(y) and y < 0:
+    # Past |t| = 40 the normal tail is below the smallest double, so t acts as
+    # +-inf (and the squares below stay finite).
+    if x < -40.0 or y < -40.0:
         return 0.0
-    if math.isinf(x):
+    if x > 40.0:
         return phi(y)
-    if math.isinf(y):
+    if y > 40.0:
         return phi(x)
 
     if abs(rho) < 0.3:

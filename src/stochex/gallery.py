@@ -24,11 +24,8 @@ from .contlab import (
     bivariate_elliptical,
     build_gaussian_seq,
     density_symmetry_grid,
-    folded_normal_cdf,
     intraclass_model,
-    ks_distance,
-    dkw_band,
-    sample_elliptical,
+    mc_check,
     verify_mlr_example,
 )
 from .dist import ExactJointDist, UnivariateDist, parse_rational
@@ -231,12 +228,10 @@ def _density(model, steps: int, conditions, detail: str, k=1, l=2, on=None) -> t
     return all(r["pass"] for r in reports), detail.format(*reports)
 
 
-def _mc_folded(model, mu: float) -> tuple[bool, str]:
+def _mc_folded(model) -> tuple[bool, str]:
     """KS distance of sampled |max| from the folded normal of X within the DKW band."""
-    xy = sample_elliptical(model, _QUICK_MC)
-    dist = ks_distance(abs(xy.max(axis=1)), lambda x: folded_normal_cdf(x, mu))
-    band = dkw_band(_QUICK_MC.sample_count, _QUICK_MC.alpha)
-    return dist <= band, f"KS {dist:.5f} vs DKW band {band:.5f}"
+    r = mc_check(model, "absmax-absx-ks", _QUICK_MC)
+    return r["pass"], f"KS {r['max_deviation']:.5f} vs DKW band {r['tolerance']:.5f}"
 
 
 def _gauss_means(spec: GaussianSeqSpec, want: list[float]) -> tuple[bool, str]:
@@ -380,7 +375,7 @@ def _bvn(arg):
     return f"bvn:{mu},{rho}", bivariate_elliptical(mu, -mu, 1.0, 1.0, rho), desc, (
         ("density reflection equality on grid", _density, 13, ("URE", "LRE"),
          "max deviations {0[max_deviation]:.2e}, {1[max_deviation]:.2e}"),
-        ("MC |max| vs folded-normal cdf", _mc_folded, mu),
+        ("MC |max| vs folded-normal cdf", _mc_folded),
     )
 
 

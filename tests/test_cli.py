@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from stochex.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from stochex.dist import ExactJointDist
+from stochex.dist import ExactJointDist, UnivariateDist
+from stochex.stochorder import st_compare
 
 
 @pytest.fixture
@@ -91,6 +92,18 @@ class TestRegionsOrderClassify:
         assert code == EXIT_OK
         assert json.loads(out)["relation"] == "strictly_less"
 
+    def test_order_compares_signed_laws(self, capsys, tmp_path):
+        laws = {"a": [(-2, "1/4"), (1, "3/4")], "b": [(-1, "1/2"), (1, "1/4"), (3, "1/4")]}
+        for name, atoms in laws.items():
+            (tmp_path / f"{name}.json").write_text(ExactJointDist.build(
+                1, [((v,), Fraction(p)) for v, p in atoms]).to_json())
+        code, out = run(capsys, "order", str(tmp_path / "a.json"), str(tmp_path / "b.json"))
+        assert code == EXIT_OK
+        want = st_compare(*(UnivariateDist.build([(v, Fraction(p)) for v, p in atoms])
+                            for atoms in laws.values()))
+        assert json.loads(out) == want.to_jsonable()
+        assert want.relation == "incomparable"  # |a| and |b| would compare otherwise
+
     def test_classify_axes(self, capsys):
         code, out = run(capsys, "classify", "gallery://axes:3")
         assert code == EXIT_OK
@@ -174,13 +187,19 @@ class TestNumericSubcommands:
         assert code == EXIT_OK
         assert json.loads(out)["grid_violations"] == 0
 
-    def test_mc_seed_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("STOCHEX_SEED", "99")
+    def test_mc_default_seed_and_check(self, capsys):
         code, out = run(capsys, "mc", "bvn:0.0,0.0", "--n", "20000")
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["seed"] == 99
+        assert report["seed"] == 0
         assert report["check"] == "min-max-equal"  # the default for an elliptical id
+
+    def test_mc_ure_chain(self, capsys):
+        code, out = run(capsys, "mc", "bvn:1.5,0.3", "--check", "ure-chain",
+                        "--n", "20000", "--seed", "4")
+        assert code == EXIT_OK
+        parts = json.loads(out)["parts"]
+        assert len(parts) == 4 and all(p["pass"] for p in parts.values())
 
 
 class TestUsageErrors:
@@ -277,6 +296,10 @@ class TestInputErrorsExit2:
         ["identity11", "--steps", "0"],
         ["identity11", "--steps", "-3"],
         ["mc", "mlr:normal,1,2", "--check", "absmax-absx-ks", "--n", "1000"],
+        ["mc", "intraclass:3,-0.3", "--check", "ure-chain", "--n", "1000"],
+        ["mc", "bvn:1.5,0.3", "--n", "1000", "--seed", "-1"],
+        ["mc", "bvn:1.5,0.3", "--n", "100000000000000"],
+        ["identity11", "--steps", "100000000"],
     ])
     def test_numeric_command_inputs(self, capsys, argv):
         self.assert_input_error(capsys, *argv)
@@ -303,3 +326,13 @@ class TestInputErrorsExit2:
         assert code == EXIT_USAGE
         assert err.startswith("error: ")
         assert f"invalid finite value: '{value}'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "gallery://axes:3", "--condition", "e", "--k", "1", "--l", "3"],
+        ["check", "gallery://axes:3", "--condition", "re-n", "--k", "1", "--l", "3"],
+        ["gallery", "axes:2", "--list"],
+        ["gallery", "--list", "--emit"],
+        ["gallery", "bvn:1.5,0.3", "--emit"],
+    ])
+    def test_arguments_that_do_not_apply(self, capsys, argv):
+        self.assert_input_error(capsys, *argv)

@@ -19,6 +19,7 @@ from stochex.contlab import (
     folded_normal_cdf,
     intraclass_model,
     ks_distance,
+    mc_check,
     mc_dominance,
     mlr_scale_density,
     phi,
@@ -29,6 +30,7 @@ from stochex.contlab import (
     verify_mlr_example,
 )
 from stochex.contlab.elliptical import GRID_TOLERANCE
+from stochex.contlab.montecarlo import MAX_SAMPLE_COUNT
 from stochex.errors import (
     EmptyGrid,
     InvalidSpec,
@@ -105,6 +107,11 @@ class TestPhi2:
     def test_infinite_arguments(self):
         assert phi2(float("inf"), 1.0, 0.5) == phi(1.0)
         assert phi2(1.0, float("-inf"), 0.5) == 0.0
+
+    def test_huge_finite_arguments_act_as_infinite(self):
+        assert phi2(5e307, 5e307, -0.95) == 1.0
+        assert phi2(0.0, 5e307, -0.95) == phi(0.0)
+        assert phi2(-1e200, 0.0, 0.5) == 0.0
 
     def test_rho_bounds(self):
         with pytest.raises(RhoOutOfRange):
@@ -352,6 +359,18 @@ class TestMonteCarlo:
             MCConfig(sample_count=10)
         with pytest.raises(InvalidSpec):
             MCConfig(alpha=0.0)
+        with pytest.raises(InvalidSpec):
+            MCConfig(seed=-1)
+        with pytest.raises(InvalidSpec):
+            MCConfig(sample_count=MAX_SAMPLE_COUNT + 1)
+
+    def test_mc_check_applicability(self):
+        with pytest.raises(InvalidSpec):
+            mc_check(intraclass_model(3, -0.3), "ure-chain", self.CFG)
+        with pytest.raises(InvalidSpec):
+            mc_check(bivariate_elliptical(1.0, -1.0, 1.0, 2.0, 0.3), "absmax-absx-ks", self.CFG)
+        with pytest.raises(InvalidSpec):
+            mc_check(bivariate_elliptical(0.0, 0.0, 1.0, 1.0, 0.3), "no-such-check", self.CFG)
 
     def test_sampling_is_deterministic_in_the_seed(self):
         model = bivariate_elliptical(1.0, -1.0, 1.0, 1.0, 0.5)

@@ -221,6 +221,13 @@ class TestErrorsAndDispatch:
         with pytest.raises(IndexOutOfRange):
             check_sub_super_kl(SCI_NOT_RE, 2, 1, "URsub")
 
+    @pytest.mark.parametrize("kind", ["E", "SCI", "ESCI", "ERE", "RE_N", "URE", "LRE"])
+    def test_pair_given_to_a_condition_without_one(self, kind):
+        with pytest.raises(IndexOutOfRange):
+            check(SCI_NOT_RE, kind, 1, 2)
+        with pytest.raises(IndexOutOfRange):
+            check(SCI_NOT_RE, kind, l=2)
+
     def test_dispatch_matches_direct_calls(self):
         rng = random.Random(47)
         for _ in range(50):
