@@ -187,7 +187,7 @@ class TestNumericSubcommands:
         assert code == EXIT_OK
         assert json.loads(out)["grid_violations"] == 0
 
-    def test_mc_default_seed_and_check(self, capsys):
+    def test_mc_seed_env_default(self, capsys):
         code, out = run(capsys, "mc", "bvn:0.0,0.0", "--n", "20000")
         assert code == EXIT_OK
         report = json.loads(out)
