@@ -1,21 +1,26 @@
 """Exact finite discrete multivariate distributions over rational support points.
 
-All probabilities and coordinates are `fractions.Fraction`, so distributional
-equality is decidable with zero tolerance.  Distributions are immutable, and
-both types keep their atoms as `(point, prob)` pairs in one canonical form,
-built by `_canonical`: duplicates merged, no mass negative, total exactly 1,
-zero-probability atoms dropped, sorted by point (lexicographically for
-`ExactJointDist`).
+Distributions are immutable and exact, so distributional equality is decidable
+with zero tolerance.  An `ExactJointDist` is stored as integers: its points
+are int tuples over `den`, the least common denominator of the coordinates,
+and its masses are ints over `pden`, that of the masses.  `Fraction`s appear
+at every public boundary: `atoms`, `pmf`, `support`, witnesses and JSON.
+Both exact types come from one canonicaliser, `_canonical`: duplicates
+merged, no mass negative, total exactly 1, zero masses dropped, sorted by
+point (lexicographically for `ExactJointDist`), and `den` and `pden` reduced
+to lowest terms, so that equal laws are equal objects.  The gallery bounds
+the laws it enumerates by an atom budget (`gallery.MAX_ATOM_COORDINATES`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -27,6 +32,7 @@ from .errors import (
 )
 
 Point = tuple[Fraction, ...]
+IntPoint = tuple[int, ...]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -42,25 +48,40 @@ def parse_rational(text: str) -> Fraction:
         raise InvalidRational(f"zero denominator in rational literal: {text!r}") from None
 
 
-def _as_fraction(x: Fraction | int) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+def _over_lcd(xs: list) -> tuple[int, list[int]]:
+    """The least common denominator of the rationals `xs`, and each of them
+    times it, an int."""
+    try:
+        ratios = [x.as_integer_ratio() for x in xs]
+    except AttributeError:  # e.g. a rational given as a string
+        return _over_lcd([Fraction(x) for x in xs])
+    den = math.lcm(*{d for _, d in ratios})
+    return den, [n * (den // d) for n, d in ratios]
 
 
-def _canonical(pairs: Iterable[tuple[Any, Fraction | int]]) -> tuple[tuple[Any, Fraction], ...]:
-    """The canonical form of a finite law given as (key, prob) pairs: the
-    masses of equal keys merged, none negative, summing to exactly 1, and
-    the positive ones returned sorted by key."""
-    merged: dict[Any, Fraction] = {}
-    for key, prob in pairs:
-        p = _as_fraction(prob)
-        if p < 0:
-            raise ValueError(f"negative probability {p} at {key}")
-        old = merged.get(key)
-        merged[key] = p if old is None else old + p
-    total = sum(merged.values(), Fraction(0))
-    if total != 1:
-        raise ProbabilityNotOne(1 - total)
-    return tuple((k, p) for k, p in sorted(merged.items()) if p > 0)
+def _canonical(
+    pairs: Iterable[tuple[IntPoint, int]], den: int, pden: int
+) -> tuple[int, int, tuple[tuple[IntPoint, int], ...]]:
+    """The canonical form of a finite law given as (point, mass) pairs, the
+    points int tuples over `den` and the masses ints over `pden`: the masses
+    of equal points merged, none negative, summing to exactly `pden`, and the
+    positive ones sorted by point.  Returns (den, pden, pairs) with `den` and
+    `pden` divided by the gcd of all the stored ints."""
+    merged: dict[IntPoint, int] = {}
+    for point, w in pairs:
+        if w < 0:
+            at = ", ".join(str(Fraction(c, den)) for c in point)
+            raise ValueError(f"negative probability {Fraction(w, pden)} at ({at})")
+        merged[point] = merged.get(point, 0) + w
+    total = sum(merged.values())
+    if total != pden:
+        raise ProbabilityNotOne(1 - Fraction(total, pden))
+    kept = sorted(item for item in merged.items() if item[1])
+    g = math.gcd(den, *(c for point, _ in kept for c in point))
+    gp = math.gcd(pden, *(w for _, w in kept))
+    if g > 1 or gp > 1:
+        kept = [(tuple([c // g for c in point]), w // gp) for point, w in kept]
+    return den // g, pden // gp, tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -86,7 +107,7 @@ class SignedPermutation:
         return len(self.perm)
 
     def apply(self, point: Point) -> Point:
-        return tuple(self.signs[i] * point[self.perm[i]] for i in range(self.dim))
+        return tuple([s * point[j] for s, j in zip(self.signs, self.perm)])
 
     def inverse(self) -> "SignedPermutation":
         n = self.dim
@@ -127,10 +148,14 @@ class SignedPermutation:
 
 @dataclass(frozen=True)
 class ExactJointDist:
-    """Finite discrete distribution on rational points of R^dim, in canonical form."""
+    """Finite discrete distribution on rational points of R^dim, in canonical
+    form: the atom at `Fraction`s x / den has probability w / pden for each
+    (x, w) in `pairs`."""
 
     dim: int
-    atoms: tuple[tuple[Point, Fraction], ...]
+    den: int
+    pden: int
+    pairs: tuple[tuple[IntPoint, int], ...]
 
     @classmethod
     def build(
@@ -139,18 +164,34 @@ class ExactJointDist:
         raw_atoms: Iterable[tuple[Sequence[Fraction | int], Fraction | int]],
     ) -> "ExactJointDist":
         """Merge duplicate points, drop zero-probability atoms, require total 1."""
+        raw = list(raw_atoms)
+        for point, _ in raw:
+            if len(point) != dim:
+                raise DimensionMismatch(
+                    f"atom {tuple(point)} has {len(point)} coordinates, expected {dim}"
+                )
+        den, coords = _over_lcd([c for point, _ in raw for c in point])
+        pden, masses = _over_lcd([p for _, p in raw])
+        return cls._from_ints(dim, den, pden, zip(zip(*[iter(coords)] * dim), masses))
+
+    @classmethod
+    def _from_ints(
+        cls, dim: int, den: int, pden: int, pairs: Iterable[tuple[IntPoint, int]]
+    ) -> "ExactJointDist":
+        """The law of the int (point, mass) pairs over `den` and `pden`."""
         if dim < 1:
             raise DimensionMismatch(f"dim must be >= 1, got {dim}")
+        return cls(dim, *_canonical(pairs, den, pden))
 
-        def points():
-            for point, prob in raw_atoms:
-                if len(point) != dim:
-                    raise DimensionMismatch(
-                        f"atom {tuple(point)} has {len(point)} coordinates, expected {dim}"
-                    )
-                yield tuple(map(_as_fraction, point)), prob
-
-        return cls(dim, _canonical(points()))
+    @cached_property
+    def atoms(self) -> tuple[tuple[Point, Fraction], ...]:
+        """The (point, probability) pairs in `Fraction`s, sorted by point."""
+        coords = {c for point, _ in self.pairs for c in point}
+        as_coord = {c: Fraction(c, self.den) for c in coords}.__getitem__
+        as_prob = {w: Fraction(w, self.pden) for w in {w for _, w in self.pairs}}
+        return tuple(
+            (tuple(map(as_coord, point)), as_prob[w]) for point, w in self.pairs
+        )
 
     @cached_property
     def _pmf(self) -> Mapping[Point, Fraction]:
@@ -166,8 +207,8 @@ class ExactJointDist:
         """Image distribution under a signed coordinate permutation."""
         if m.dim != self.dim:
             raise DimensionMismatch(f"map has dim {m.dim}, distribution has {self.dim}")
-        return ExactJointDist.build(
-            self.dim, [(m.apply(pt), p) for pt, p in self.atoms]
+        return ExactJointDist._from_ints(
+            self.dim, self.den, self.pden, ((m.apply(pt), w) for pt, w in self.pairs)
         )
 
     def equal(self, other: "ExactJointDist") -> bool:
@@ -175,7 +216,7 @@ class ExactJointDist:
             raise DimensionMismatch(
                 f"cannot compare dims {self.dim} and {other.dim}"
             )
-        return self.atoms == other.atoms
+        return self == other
 
     def mix(self, other: "ExactJointDist") -> "ExactJointDist":
         """Equal-weight mixture; used to symmetrize under an involution."""
@@ -183,10 +224,12 @@ class ExactJointDist:
             raise DimensionMismatch(
                 f"cannot mix dims {self.dim} and {other.dim}"
             )
-        half = Fraction(1, 2)
-        raw = [(pt, p * half) for pt, p in self.atoms]
-        raw += [(pt, p * half) for pt, p in other.atoms]
-        return ExactJointDist.build(self.dim, raw)
+        den, pden = math.lcm(self.den, other.den), math.lcm(self.pden, other.pden)
+        raw = [
+            (tuple([c * (den // d.den) for c in pt]), w * (pden // d.pden))
+            for d in (self, other) for pt, w in d.pairs
+        ]
+        return ExactJointDist._from_ints(self.dim, den, 2 * pden, raw)
 
     def marginal(self, index_set: Iterable[int]) -> "ExactJointDist":
         """Exact marginal over the retained (1-based) coordinates, in index order."""
@@ -197,8 +240,11 @@ class ExactJointDist:
             raise IndexOutOfRange(
                 f"indices {indices} out of range 1..{self.dim}"
             )
-        raw = [(tuple(pt[i - 1] for i in indices), p) for pt, p in self.atoms]
-        return ExactJointDist.build(len(indices), raw)
+        keep = [i - 1 for i in indices]
+        return ExactJointDist._from_ints(
+            len(keep), self.den, self.pden,
+            ((tuple([pt[i] for i in keep]), w) for pt, w in self.pairs),
+        )
 
     def to_jsonable(self) -> dict:
         return {
@@ -263,7 +309,11 @@ class UnivariateDist:
     def build(
         cls, raw_atoms: Iterable[tuple[Fraction | int, Fraction | int]]
     ) -> "UnivariateDist":
-        return cls(_canonical((_as_fraction(v), p) for v, p in raw_atoms))
+        raw = list(raw_atoms)
+        den, values = _over_lcd([v for v, _ in raw])
+        pden, masses = _over_lcd([p for _, p in raw])
+        den, pden, pairs = _canonical(zip(((v,) for v in values), masses), den, pden)
+        return cls(tuple((Fraction(v, den), Fraction(w, pden)) for (v,), w in pairs))
 
     def cdf(self, x: Fraction | int) -> Fraction:
         """Exact P[value <= x]; a right-continuous step function."""

@@ -1,14 +1,13 @@
 """Exact distributions of absolute prefix extremes and region probabilities.
 
 All prefix laws |max(X_1..X_l)| and |min(X_1..X_l)| come from one exact
-integer pass over the atoms (`_prefix_laws`); `Fraction`s are made only for
-the merged (value, mass) pairs of the results.
+pass over the int points and masses of the law (`_prefix_laws`); `Fraction`s
+are made only for the merged (value, mass) pairs of the results.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,22 +42,16 @@ def _prefix_laws(
     d: ExactJointDist, upto: int
 ) -> dict[str, list[UnivariateDist]]:
     """Laws of |max(X_1..X_l)| and |min(X_1..X_l)| for l = 1..upto, keyed by
-    "max" and "min", from one pass over the atoms.
+    "max" and "min", from one pass over the int points and masses of `d`.
 
-    Coordinates are scaled to ints over their common denominator and masses
-    to ints over theirs, so the pass does integer comparisons and additions
-    only.  The masses of every law sum to 1 because those of `d` do.
+    The pass does integer comparisons and additions only.  The masses of
+    every law sum to 1 because those of `d` do.
     """
-    points = [pt[:upto] for pt, _ in d.atoms]
-    den = math.lcm(*{c.denominator for pt in points for c in pt})
-    pden = math.lcm(*{p.denominator for _, p in d.atoms})
     maxes: list[dict[int, int]] = [{} for _ in range(upto)]
     mins: list[dict[int, int]] = [{} for _ in range(upto)]
-    for pt, (_, p) in zip(points, d.atoms):
-        w = p.numerator * (pden // p.denominator)
-        xs = [c.numerator * (den // c.denominator) for c in pt]
-        hi = lo = xs[0]
-        for x, mx, mn in zip(xs, maxes, mins):
+    for pt, w in d.pairs:
+        hi = lo = pt[0]
+        for x, mx, mn in zip(pt[:upto], maxes, mins):
             if x > hi:
                 hi = x
             elif x < lo:
@@ -67,9 +60,9 @@ def _prefix_laws(
             mn[abs(lo)] = mn.get(abs(lo), 0) + w
 
     def law(masses: dict[int, int]) -> UnivariateDist:
-        return UnivariateDist(
-            tuple((Fraction(v, den), Fraction(w, pden)) for v, w in sorted(masses.items()))
-        )
+        return UnivariateDist(tuple(
+            (Fraction(v, d.den), Fraction(w, d.pden)) for v, w in sorted(masses.items())
+        ))
 
     return {"max": [law(m) for m in maxes], "min": [law(m) for m in mins]}
 

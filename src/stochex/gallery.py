@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import stochorder, symmetry
 from .contlab import (
@@ -28,7 +28,7 @@ from .contlab import (
     mc_check,
     verify_mlr_example,
 )
-from .dist import ExactJointDist, UnivariateDist, parse_rational
+from .dist import ExactJointDist, UnivariateDist, _over_lcd, parse_rational
 from .errors import InvalidSpec, UnknownId
 from .extremes import abs_extreme_dist
 
@@ -55,18 +55,35 @@ class GalleryEntry:
 # ---------------------------------------------------------------------------
 # Discrete constructors
 
+# Atoms times dim of the largest law a constructor enumerates; about ten times
+# the largest law the tests build (38,400 atoms of dim 5).
+MAX_ATOM_COORDINATES = 2_000_000
+
+
+def _check_budget(dim: int, factors: Iterable[int]) -> None:
+    """InvalidSpec unless dim times the product of the positive ints `factors`,
+    the atom count, is within MAX_ATOM_COORDINATES; stops at the first factor
+    past it, so a huge count is never formed."""
+    size = dim
+    for f in itertools.chain((1,), factors):
+        size *= f
+        if size > MAX_ATOM_COORDINATES:
+            raise InvalidSpec(
+                f"a law of dim {dim} over the budget of {MAX_ATOM_COORDINATES:,} "
+                f"atom coordinates (atoms x dim)"
+            )
+
 
 def axes_dist(n: int) -> ExactJointDist:
     """Uniform on the 2n signed coordinate unit vectors of R^n."""
     if n < 1:
         raise InvalidSpec(f"axes needs n >= 1, got n = {n}")
-    p = Fraction(1, 2 * n)
-    raw = []
-    for i in range(n):
-        for sign in (1, -1):
-            point = tuple(Fraction(sign if j == i else 0) for j in range(n))
-            raw.append((point, p))
-    return ExactJointDist.build(n, raw)
+    _check_budget(n, (2 * n,))
+    raw = [
+        (tuple(sign if j == i else 0 for j in range(n)), 1)
+        for i in range(n) for sign in (1, -1)
+    ]
+    return ExactJointDist._from_ints(n, 1, 2 * n, raw)
 
 
 def sci_counterexample() -> ExactJointDist:
@@ -89,29 +106,26 @@ def draws_dist(values: Sequence[Fraction], n: int) -> ExactJointDist:
         raise InvalidSpec("draw set must be symmetric about 0 (A = -A)")
     if not 1 <= n <= len(vals):
         raise InvalidSpec(f"need 1 <= n <= |A| = {len(vals)}, got n = {n}")
-    count = 1
-    for i in range(n):
-        count *= len(vals) - i
-    p = Fraction(1, count)
-    raw = [(perm, p) for perm in itertools.permutations(vals, n)]
-    return ExactJointDist.build(n, raw)
+    _check_budget(n, range(len(vals), len(vals) - n, -1))
+    den, ints = _over_lcd(vals)
+    raw = ((perm, 1) for perm in itertools.permutations(ints, n))
+    return ExactJointDist._from_ints(n, den, math.perm(len(vals), n), raw)
 
 
 def product_dist(marginals: Sequence[UnivariateDist]) -> ExactJointDist:
     """Product of independent univariate distributions (values may be signed)."""
-    # Each marginal's masses as ints over its common denominator, so an atom's
-    # mass is one int product over the product of those denominators.
-    dens = [math.lcm(*(p.denominator for _, p in m.atoms)) for m in marginals]
-    scaled = [
-        [(v, p.numerator * (den // p.denominator)) for v, p in m.atoms]
-        for m, den in zip(marginals, dens)
-    ]
-    total = math.prod(dens)
-    raw = []
-    for combo in itertools.product(*scaled):
-        point = tuple(v for v, _ in combo)
-        raw.append((point, Fraction(math.prod(w for _, w in combo), total)))
-    return ExactJointDist.build(len(marginals), raw)
+    _check_budget(len(marginals), (len(m.atoms) for m in marginals))
+    # Values as ints over their common denominator, and each marginal's masses
+    # as ints over its own, so an atom's mass is one int product over the
+    # product of those denominators.
+    den, flat = _over_lcd([v for m in marginals for v in m.values()])
+    it = iter(flat)
+    values = [[next(it) for _ in m.atoms] for m in marginals]
+    masses = [_over_lcd([p for _, p in m.atoms]) for m in marginals]
+    products = map(math.prod, itertools.product(*(ws for _, ws in masses)))
+    pden = math.prod(pden for pden, _ in masses)
+    return ExactJointDist._from_ints(
+        len(marginals), den, pden, zip(itertools.product(*values), products))
 
 
 def symmetrize_univariate(abs_atoms: Sequence[tuple[Fraction, Fraction]]) -> UnivariateDist:
@@ -137,6 +151,7 @@ def iid_sym_dist(marginal_name: str, n: int) -> ExactJointDist:
     if marginal_name not in _NAMED_MARGINALS:
         raise UnknownId(f"unknown marginal {marginal_name!r}; have {sorted(_NAMED_MARGINALS)}")
     marginal = symmetrize_univariate(_NAMED_MARGINALS[marginal_name])
+    _check_budget(n, itertools.repeat(len(marginal.atoms), n))  # before n marginals exist
     return product_dist([marginal] * n)
 
 
@@ -144,6 +159,7 @@ def alt_signs_dist(n: int) -> ExactJointDist:
     """Independent non-symmetric base copies with signs flipped on even indices."""
     base = UnivariateDist.build([(0, Fraction(1, 3)), (1, Fraction(2, 3))])
     flipped = UnivariateDist.build([(-v, p) for v, p in base.atoms])
+    _check_budget(n, itertools.repeat(2, n))  # before n marginals exist
     marginals = [base if i % 2 == 0 else flipped for i in range(n)]
     return product_dist(marginals)
 
@@ -279,9 +295,10 @@ def _draws2(arg):
 
 def _axes(arg):
     n = int(arg)
+    d = axes_dist(n)  # first: it checks the atom budget before n cdf values are made
     at_zero = {(l, 0): 1 - Fraction(max(l, 2), 2 * n) for l in range(1, n + 1)}
     desc = "uniform on signed coordinate unit vectors; ESCI with strictly growing |max|"
-    return f"axes:{n}", axes_dist(n), desc, (
+    return f"axes:{n}", d, desc, (
         ("ESCI holds", _verdict, "ESCI", True),
         ("cdf-at-0 chain", _cdfs, "max", at_zero,
          "cdf at 0 matches 1 - l/(2n) for every prefix"),

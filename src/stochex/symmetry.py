@@ -217,13 +217,15 @@ def check_sub_super_kl(
 def check(d: ExactJointDist, kind: str, k: Optional[int] = None, l: Optional[int] = None):
     """Dispatch a condition by name; used by the CLI and the gallery.
 
-    The pairwise conditions (RE and the sub/super variants) take k, l, which
-    default to (1, 2) in dim 2 only; the other conditions take none.
+    The pairwise conditions (RE and the sub/super variants) take both k and l,
+    which default to (1, 2) in dim 2 only; the other conditions take none.
     """
     pairwise = kind == "RE" or kind in SUB_SUPER_VARIANTS
     if not pairwise and (k is not None or l is not None):
         raise IndexOutOfRange(f"{kind} takes no k, l")
-    if pairwise and (k is None or l is None):
+    if (k is None) != (l is None):
+        raise IndexOutOfRange(f"{kind} needs both k and l, or neither")
+    if pairwise and k is None:
         if d.dim != 2:
             raise IndexOutOfRange(f"{kind} needs explicit k, l unless dim = 2")
         k, l = 1, 2

@@ -32,7 +32,7 @@ from stochex.contlab import (
     verify_mlr_example,
 )
 from stochex.extremes import abs_extreme_dist
-from stochex.gallery import axes_dist, draws_dist, remark_asym_dist
+from stochex.gallery import axes_dist, draws_dist, product_dist, remark_asym_dist
 from stochex.stochorder import classify, st_compare
 from stochex.symmetry import check_re_kl, check_sub_super_kl
 
@@ -184,7 +184,7 @@ def test_criterion_08_ordered_independent_products():
         abs_laws = [base]
         for _ in range(n - 1):
             abs_laws.append(shift_abs_up(rng, abs_laws[-1], force_strict=strict))
-        d = product_of([sign_symmetrize_univariate(u) for u in abs_laws])
+        d = product_dist([sign_symmetrize_univariate(u) for u in abs_laws])
         c = classify(d)
         if strict:
             assert c.label_max == "SSIAMX" and c.label_min == "SSIAMN", (

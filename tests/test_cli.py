@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON/CSV output, gallery:// URIs."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -333,6 +334,19 @@ class TestInputErrorsExit2:
         ["gallery", "axes:2", "--list"],
         ["gallery", "--list", "--emit"],
         ["gallery", "bvn:1.5,0.3", "--emit"],
+        ["check", "gallery://sci-not-re", "--condition", "ursub-kl", "--l", "7"],
+        ["check", "gallery://sci-not-re", "--condition", "re-kl", "--k", "2"],
     ])
     def test_arguments_that_do_not_apply(self, capsys, argv):
         self.assert_input_error(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["absdist", "gallery://draws-n:-5,-4,-3,-2,-1,1,2,3,4,5;10", "--prefix", "2"],
+        ["absdist", "gallery://axes:1000000", "--prefix", "1"],
+        ["classify", "gallery://iid-sym:tri,1000000000"],
+        ["classify", "gallery://alt-signs:1000000000"],
+    ])
+    def test_law_over_the_atom_budget(self, capsys, argv):
+        t0 = time.perf_counter()
+        self.assert_input_error(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0

@@ -1,11 +1,14 @@
 """The exit-code contract of the CLI under hostile arguments.
 
-Argument vectors for `mc`, `identity11`, `phi2`, `check` and `gallery` are
-drawn from valid, negative, non-finite, huge and malformed values and run
-in-process through `cli.main`.  Whatever the input: no exception escapes, the
-exit code is 0, 1 or 2, exit 2 comes with an `error:` line on stderr, and exit
-1 only with a failing report on stdout.  Valid sample sizes and grids are kept
-small and every huge one is far over its budget, so each example runs quickly.
+Argument vectors for `mc`, `identity11`, `phi2`, `check`, `gallery`,
+`absdist`, `classify`, `order` and `regions` are drawn from valid, negative,
+non-finite, huge and malformed values and run in-process through `cli.main`.
+Their distributions are gallery ids under and far over the atom budget and
+distribution files, valid and malformed.  Whatever the input: no exception
+escapes, the exit code is 0, 1 or 2, exit 2 comes with an `error:` line on
+stderr, and exit 1 only with a failing report on stdout.  Valid sample sizes,
+grids and laws are kept small and every huge one is far over its budget, so
+each example runs quickly.
 """
 
 import contextlib
@@ -21,6 +24,22 @@ from stochex.contlab import MC_CHECKS
 
 INTS = ["x", "1.5", "0x10", "nan", "-1", "100000000000000", str(10**30)]
 FLOATS = ["x", "", "nan", "inf", "-inf", "1e400", "-1", "1e308", "5e-324"]
+RATIONALS = ["x", "", "1/0", "1/-2", "1.5", "-1/2", str(10**30)]
+
+# Distribution files; "@name" in an argument vector stands for the file's path.
+JSON_FILES = {
+    "dim1.json": '{"dim": 1, "atoms": [{"x": ["-1"], "p": "1/3"}, {"x": ["2"], "p": "2/3"}]}',
+    "dim2.json": '{"dim": 2, "atoms": [{"x": ["1", "0"], "p": "1/2"}, '
+                 '{"x": ["0", "-1/2"], "p": "1/2"}]}',
+    "truncated.json": '{"dim": 2, "atoms": [{"x": ["1", "0"], "p": "1"}',
+    "total.json": '{"dim": 1, "atoms": [{"x": ["1"], "p": "1/2"}]}',
+    "negative.json": '{"dim": 1, "atoms": [{"x": ["1"], "p": "-1"}, {"x": ["2"], "p": "2"}]}',
+    "zero-den.json": '{"dim": 1, "atoms": [{"x": ["1/0"], "p": "1"}]}',
+    "dim0.json": '{"dim": 0, "atoms": [{"x": [], "p": "1"}]}',
+    "short-point.json": '{"dim": 2, "atoms": [{"x": ["1"], "p": "1"}]}',
+    "float-coordinate.json": '{"dim": 1, "atoms": [{"x": [0.5], "p": "1"}]}',
+    "not-a-law.json": "[1, 2]",
+}
 
 
 def _value(valid, bad):
@@ -36,6 +55,21 @@ def _option(name: str, values):
 def _argv(head, *parts):
     return st.tuples(*parts).map(lambda ps: [*head, *(a for p in ps for a in p)])
 
+
+def _dists(valid):
+    """A distribution argument: a small law, or one far over the atom budget,
+    a non-discrete id, a missing file or a malformed one."""
+    return _value(valid, [
+        "gallery://axes:1000000", "gallery://draws-n:-5,-4,-3,-2,-1,1,2,3,4,5;10",
+        "gallery://iid-sym:tri,1000000000", "gallery://alt-signs:100000",
+        "gallery://bvn:1.5,0.3", "@missing.json",
+        *(f"@{name}" for name in JSON_FILES if name not in ("dim1.json", "dim2.json")),
+    ])
+
+
+DISTS = _dists(["gallery://axes:3", "gallery://sci-not-re", "gallery://remark-asym",
+                "gallery://draws-n:-2,-1,1,2;3", "gallery://iid-sym:tri,3", "@dim2.json"])
+DISTS1 = _dists(["@dim1.json", "gallery://sci-not-re"])
 
 COMMANDS = {
     "mc": _value(
@@ -80,7 +114,28 @@ COMMANDS = {
         st.sampled_from([[], ["--list"]]),
         st.sampled_from([[], ["--emit"]]),
     ),
+    "absdist": DISTS.flatmap(lambda dist: _argv(
+        ["absdist", dist],
+        _option("--stat", st.sampled_from(["max", "min", "mean"])),
+        _value(["1", "2"], ["0", "7", *INTS]).map(lambda n: ["--prefix", n]),
+        st.sampled_from([[], ["--csv"], ["--csv", "--decimal"], ["--decimal"]]),
+    )),
+    "classify": DISTS.map(lambda dist: ["classify", dist]),
+    "order": st.tuples(DISTS1, DISTS1).flatmap(lambda ab: _argv(
+        ["order", *ab], st.sampled_from([[], ["--absolute"]]))),
+    "regions": DISTS.flatmap(lambda dist: _argv(
+        ["regions", dist],
+        _value(["0", "1/2", "3"], RATIONALS).map(lambda x: ["--x", x]),
+    )),
 }
+
+
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dists")
+    for name, text in JSON_FILES.items():
+        (path / name).write_text(text)
+    return path
 
 
 def _failing(report) -> bool:
@@ -93,14 +148,15 @@ def _failing(report) -> bool:
 @pytest.mark.parametrize("command", COMMANDS)
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(data=st.data())
-def test_exit_code_contract(command, data):
+def test_exit_code_contract(command, json_dir, data):
     argv = data.draw(COMMANDS[command], label="argv")
+    argv = [str(json_dir / a[1:]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     if code == EXIT_USAGE:
         assert err.getvalue().startswith("error:"), err.getvalue()
-    else:
+    elif "--csv" not in argv:
         report = json.loads(out.getvalue())
         assert code != EXIT_CHECK_FAILED or _failing(report), report

@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from stochex.errors import UnknownId
+from stochex.errors import InvalidSpec, UnknownId
 from stochex.gallery import (
+    MAX_ATOM_COORDINATES,
+    alt_signs_dist,
     axes_dist,
     draws_dist,
     gallery,
     iid_sym_dist,
     list_ids,
+    product_dist,
     remark_asym_dist,
     symmetrize_univariate,
 )
@@ -87,6 +90,20 @@ class TestConstructors:
     def test_draws_dist_is_exchangeable_mass(self):
         d = draws_dist([Fraction(v) for v in (-1, 1)], 2)
         assert all(p == Fraction(1, 2) for _, p in d.atoms)
+
+    def test_atom_budget(self):
+        # axes:1000 has 2000 atoms of dim 1000, exactly the budget.
+        assert len(axes_dist(1000).atoms) * 1000 == MAX_ATOM_COORDINATES
+        marginal = symmetrize_univariate([(Fraction(1), Fraction(1))])
+        for over in (
+            lambda: axes_dist(1001),
+            lambda: draws_dist([Fraction(v) for v in range(-5, 6)], 7),
+            lambda: product_dist([marginal] * 21),
+            lambda: iid_sym_dist("tri", 10**9),
+            lambda: alt_signs_dist(10**9),
+        ):
+            with pytest.raises(InvalidSpec):
+                over()
 
 
 class TestIdParsing:

@@ -228,6 +228,12 @@ class TestErrorsAndDispatch:
         with pytest.raises(IndexOutOfRange):
             check(SCI_NOT_RE, kind, l=2)
 
+    @pytest.mark.parametrize("kind", ["RE", "URsub", "LRsup"])
+    @pytest.mark.parametrize("k,l", [(None, 7), (2, None), (1, None)])
+    def test_half_given_pair(self, kind, k, l):
+        with pytest.raises(IndexOutOfRange):
+            check(SCI_NOT_RE, kind, k, l)
+
     def test_dispatch_matches_direct_calls(self):
         rng = random.Random(47)
         for _ in range(50):
